@@ -1,10 +1,9 @@
 // Hot-path benchmark for the extended K-means sweep: serial merge scoring
-// vs the PR-1 hash-index scoring vs the slotted move-only sweep (flat CSR
-// index + algebraic detachment), the latter across scoring kernels.
+// (the reference) vs the slotted move-only sweep (flat CSR index +
+// algebraic detachment) across scoring kernels.
 //
 // Configurations running the same clustering problem:
-//   merge            use_rep_index=false                  (the seed path)
-//   indexed          use_rep_index=true, move_only=false  (PR 1)
+//   merge            use_rep_index=false  (the reference path)
 //   slotted-scalar   slotted sweep, scalar kernel, quantization off
 //   slotted          slotted sweep, best SIMD kernel, quantization off
 //   slotted+quant    slotted sweep, best SIMD kernel, fp16 quantized pass
@@ -13,12 +12,15 @@
 //                    (a 1-thread "parallel" row is meaningless and the
 //                    bench refuses to report one)
 // All configurations must produce identical clusterings (same memberships,
-// same outliers, same G trajectory) — the bench verifies this and exits
-// non-zero on a mismatch. Per-phase timings (seed / score / index
-// maintenance / refresh) are collected through KMeansProfile, which also
-// carries the kernel telemetry (bytes streamed, achieved GB/s, quantized
-// fast-path vs exact re-check splits). An incremental stream replay emits
-// a BENCH_sweep_hotpath.json trajectory.
+// same outliers, same G trajectory) — the bench verifies this on every run
+// and exits non-zero on a mismatch. Every configuration runs once per
+// round, for an odd number of rounds; the table reports each
+// configuration's median-cluster-time round, and the speedups are medians
+// of per-round ratios (the speedup gates' estimator). Per-phase timings
+// (seed / score / index maintenance / refresh) are collected through
+// KMeansProfile, which also carries the kernel telemetry (bytes streamed,
+// achieved GB/s, quantized fast-path vs exact re-check splits). An
+// incremental stream replay emits a BENCH_sweep_hotpath.json trajectory.
 //
 // It also measures the observability overhead: the same clustering run
 // with the full telemetry stack attached (MetricsRegistry, Tracer,
@@ -32,10 +34,6 @@
 //   NIDC_REQUIRE_SPEEDUP  if set to a positive value, exit non-zero unless
 //                         the fastest slotted configuration achieves that
 //                         total-time speedup over merge
-//   NIDC_REQUIRE_SLOTTED_SPEEDUP  if set to a positive value, exit
-//                         non-zero unless the serial slotted sweep achieves
-//                         that cluster-time speedup over the PR-1 indexed
-//                         configuration
 //   NIDC_REQUIRE_KERNEL_SPEEDUP  if set to a positive value, exit non-zero
 //                         unless the vectorized quantized sweep achieves
 //                         that scoring-pass speedup (sweep time minus
@@ -78,11 +76,9 @@ std::string Fmt(double value, int precision) {
 struct Config {
   const char* name;
   bool use_rep_index;
-  bool move_only;
   size_t num_threads;  // requested; 0 = hardware concurrency
   kernels::Kind kernel = kernels::Kind::kScalar;
   bool quantized = false;
-  int reps = 1;  // timed repetitions, fastest kept (output is identical)
 };
 
 struct Timing {
@@ -110,10 +106,16 @@ kernels::Kind BestKind() {
 
 void ApplyConfig(const Config& config, ExtendedKMeansOptions* kmeans) {
   kmeans->use_rep_index = config.use_rep_index;
-  kmeans->move_only_sweep = config.move_only;
   kmeans->num_threads = config.num_threads;
   kmeans->quantized_scoring = config.quantized;
   kernels::Select(config.kernel);
+}
+
+// Median of an odd-sized sample: its single middle element.
+double Median(std::vector<double> values) {
+  const size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  return values[mid];
 }
 
 // Instrumented-vs-null overhead of the *full* observability stack on the
@@ -140,7 +142,6 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
                                       ExtendedKMeansOptions kmeans,
                                       int reps) {
   kmeans.use_rep_index = true;
-  kmeans.move_only_sweep = true;
   kmeans.num_threads = 0;
   kmeans.quantized_scoring = true;
   kernels::Select(BestKind());
@@ -244,47 +245,54 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
     deltas.push_back(instr_s - null_s);
     null_times.push_back(null_s);
   }
-  const auto median = [](std::vector<double>* values) {
-    const size_t mid = values->size() / 2;
-    std::nth_element(values->begin(), values->begin() + mid, values->end());
-    return (*values)[mid];
-  };
-  const double delta = median(&deltas);
-  const double base = median(&null_times);
+  const double delta = Median(deltas);
+  const double base = Median(null_times);
   return delta / std::max(base, 1e-12) * 100.0;
 }
 
-BatchRun RunBatch(const ForgettingModel& model,
-                  const std::vector<DocId>& docs, const Config& config,
-                  ExtendedKMeansOptions kmeans) {
+// One timed run of `config`: builds the similarity context, then clusters.
+BatchRun RunOnce(const ForgettingModel& model, const std::vector<DocId>& docs,
+                 const Config& config, ExtendedKMeansOptions kmeans) {
   ApplyConfig(config, &kmeans);
   BatchRun run;
   Stopwatch ctx_timer;
   SimilarityContext ctx(model, ThreadPool::Resolve(config.num_threads));
   run.timing.context_seconds = ctx_timer.ElapsedSeconds();
-  // The clustering is deterministic per config, so the timed section runs
-  // `reps` times and the fastest repetition is kept: the slotted sweeps
-  // finish in tens of milliseconds, where single-shot scheduler noise on a
-  // small runner would otherwise dominate the reported ratios.
-  for (int r = 0; r < std::max(config.reps, 1); ++r) {
-    KMeansProfile profile;
-    ExtendedKMeansOptions options = kmeans;
-    options.profile = &profile;
-    Stopwatch cluster_timer;
-    auto result = RunExtendedKMeans(ctx, docs, options);
-    const double seconds = cluster_timer.ElapsedSeconds();
-    if (!result.ok()) {
-      std::fprintf(stderr, "[%s] clustering failed: %s\n", config.name,
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    if (r == 0 || seconds < run.timing.cluster_seconds) {
-      run.timing.cluster_seconds = seconds;
-      run.timing.profile = profile;
-      run.result = std::move(result).value();
-    }
+  kmeans.profile = &run.timing.profile;
+  Stopwatch cluster_timer;
+  auto result = RunExtendedKMeans(ctx, docs, kmeans);
+  run.timing.cluster_seconds = cluster_timer.ElapsedSeconds();
+  if (!result.ok()) {
+    std::fprintf(stderr, "[%s] clustering failed: %s\n", config.name,
+                 result.status().ToString().c_str());
+    std::exit(1);
   }
+  run.result = std::move(result).value();
   return run;
+}
+
+// Median over rounds of the paired ratio metric(num[r]) / metric(den[r]).
+template <typename Metric>
+double MedianPairedRatio(const std::vector<Timing>& num,
+                         const std::vector<Timing>& den, Metric metric) {
+  std::vector<double> ratios;
+  for (size_t r = 0; r < num.size(); ++r) {
+    ratios.push_back(metric(num[r]) / std::max(metric(den[r]), 1e-12));
+  }
+  return Median(std::move(ratios));
+}
+
+// The round whose cluster time is the median — a real run, so its phase
+// split adds up.
+const Timing& MedianRun(const std::vector<Timing>& runs) {
+  std::vector<size_t> order(runs.size());
+  for (size_t r = 0; r < order.size(); ++r) order[r] = r;
+  const size_t mid = order.size() / 2;
+  std::nth_element(order.begin(), order.begin() + mid, order.end(),
+                   [&](size_t a, size_t b) {
+                     return runs[a].cluster_seconds < runs[b].cluster_seconds;
+                   });
+  return runs[order[mid]];
 }
 
 bool SameClustering(const ClusteringResult& a, const ClusteringResult& b,
@@ -326,9 +334,8 @@ void WriteJson(const std::string& path, double scale, size_t k,
                size_t active_docs, size_t hw_threads,
                const char* fast_config,
                const std::vector<std::pair<Config, Timing>>& batch,
-               const std::vector<StepTrace>& trajectory,
+               const std::vector<StepTrace>& trajectory, int rounds,
                double speedup_fast_vs_merge,
-               double speedup_slotted_vs_indexed,
                double speedup_kernel_vs_scalar) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -342,10 +349,9 @@ void WriteJson(const std::string& path, double scale, size_t k,
   std::fprintf(f, "  \"active_docs\": %zu,\n", active_docs);
   std::fprintf(f, "  \"hardware_threads\": %zu,\n", hw_threads);
   std::fprintf(f, "  \"fast_config\": \"%s\",\n", fast_config);
+  std::fprintf(f, "  \"rounds\": %d,\n", rounds);
   std::fprintf(f, "  \"speedup_fast_vs_merge\": %.4f,\n",
                speedup_fast_vs_merge);
-  std::fprintf(f, "  \"speedup_slotted_vs_indexed\": %.4f,\n",
-               speedup_slotted_vs_indexed);
   std::fprintf(f, "  \"speedup_kernel_vs_scalar\": %.4f,\n",
                speedup_kernel_vs_scalar);
   std::fprintf(f, "  \"batch\": [\n");
@@ -361,9 +367,8 @@ void WriteJson(const std::string& path, double scale, size_t k,
                  "\"maintenance_seconds\": %.6f, "
                  "\"refresh_seconds\": %.6f, \"score_gbps\": %.3f}%s\n",
                  config.name, ThreadPool::Resolve(config.num_threads),
-                 config.use_rep_index && config.move_only
-                     ? kernels::KindName(config.kernel)
-                     : "none",
+                 config.use_rep_index ? kernels::KindName(config.kernel)
+                                      : "none",
                  config.quantized ? "true" : "false",
                  timing.context_seconds, timing.cluster_seconds,
                  timing.total(), prof.seed_seconds, prof.score_seconds(),
@@ -423,7 +428,7 @@ std::vector<double> RunStream(const BenchCorpus& bc, size_t k,
 }
 
 int Main() {
-  PrintHeader("Sweep hot path: merge vs indexed vs slotted move-only",
+  PrintHeader("Sweep hot path: merge vs slotted move-only",
               "Table 1 setting (§6.2.1) — scoring-path + kernel ablation");
 
   const double scale = EnvScale("NIDC_SWEEP_SCALE", 1.0);
@@ -449,17 +454,16 @@ int Main() {
   kmeans.seed = 7;
 
   std::vector<Config> configs = {
-      {"merge", false, false, 1, best, false},
-      {"indexed", true, false, 1, best, false},
-      {"slotted-scalar", true, true, 1, kernels::Kind::kScalar, false, 5},
-      {"slotted", true, true, 1, best, false, 5},
-      {"slotted+quant", true, true, 1, best, true, 5},
+      {"merge", false, 1, best, false},
+      {"slotted-scalar", true, 1, kernels::Kind::kScalar, false},
+      {"slotted", true, 1, best, false},
+      {"slotted+quant", true, 1, best, true},
   };
-  constexpr size_t kMerge = 0, kIndexed = 1, kSlottedScalar = 2;
-  constexpr size_t kQuant = 4;
+  constexpr size_t kMerge = 0, kSlottedScalar = 1;
+  constexpr size_t kQuant = 3;
   size_t fast = kQuant;
   if (hw > 1) {
-    configs.push_back({"slotted+parallel", true, true, 0, best, true, 5});
+    configs.push_back({"slotted+parallel", true, 0, best, true});
     fast = configs.size() - 1;
   } else {
     std::printf(
@@ -468,47 +472,71 @@ int Main() {
   }
 
   std::printf("corpus: %zu docs, K = %zu, hardware threads = %zu, "
-              "best kernel = %s\n\n",
+              "best kernel = %s\n",
               docs.size(), k, hw, kernels::KindName(best));
+
+  // Every configuration runs once per round, rounds alternating forward and
+  // reverse configuration order, so each gate's two sides are paired within
+  // a round and neither side always runs first. The gates then read the
+  // median of the per-round ratios — the overhead gate's paired-median
+  // estimator, which single-shot ratios of 10 ms runs are too noisy for. An
+  // untimed warm-up round sizes the odd round count to a wall budget: the
+  // median's spread shrinks as 1/sqrt(rounds).
+  Stopwatch warmup_timer;
+  const ClusteringResult reference =
+      RunOnce(model, docs, configs[kMerge], kmeans).result;
+  bool identical = true;
+  const auto run_checked = [&](size_t i) {
+    BatchRun run = RunOnce(model, docs, configs[i], kmeans);
+    const std::string label = std::string("merge vs ") + configs[i].name;
+    identical &= SameClustering(reference, run.result, label.c_str());
+    return run;
+  };
+  for (size_t i = 1; i < configs.size(); ++i) run_checked(i);
+  const double round_seconds = warmup_timer.ElapsedSeconds();
+  constexpr double kRoundBudgetSeconds = 20.0;
+  const double fit = kRoundBudgetSeconds / std::max(round_seconds, 1e-6);
+  const int rounds = static_cast<int>(std::min(51.0, std::max(5.0, fit))) | 1;
+
+  std::vector<std::vector<Timing>> timings(configs.size());
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t j = 0; j < configs.size(); ++j) {
+      const size_t i = r % 2 == 0 ? j : configs.size() - 1 - j;
+      timings[i].push_back(run_checked(i).timing);
+    }
+  }
+
+  std::printf("%d rounds; each row is the configuration's median-cluster-time "
+              "round, speedups are medians of per-round ratios\n\n",
+              rounds);
+  const auto total = [](const Timing& t) { return t.total(); };
+  const auto score = [](const Timing& t) { return t.profile.score_seconds(); };
   TablePrinter table({"config", "thr", "kernel", "context s", "cluster s",
                       "score s", "maint s", "refresh s", "GB/s", "total s",
                       "speedup", "iters"});
   std::vector<std::pair<Config, Timing>> batch;
-  std::vector<BatchRun> runs;
-  for (const Config& config : configs) {
-    runs.push_back(RunBatch(model, docs, config, kmeans));
-    const Timing& t = runs.back().timing;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const Config& config = configs[i];
+    const Timing& t = MedianRun(timings[i]);
     batch.emplace_back(config, t);
-    const bool slotted_row = config.use_rep_index && config.move_only;
     table.AddRow(
         {config.name, std::to_string(ThreadPool::Resolve(config.num_threads)),
-         slotted_row ? kernels::KindName(config.kernel) : "-",
+         config.use_rep_index ? kernels::KindName(config.kernel) : "-",
          Fmt(t.context_seconds, 3), Fmt(t.cluster_seconds, 3),
          Fmt(t.profile.score_seconds(), 3),
          Fmt(t.profile.maintenance_seconds, 3),
          Fmt(t.profile.refresh_seconds, 3),
-         slotted_row ? Fmt(t.profile.score_gbps(), 2) : "-",
+         config.use_rep_index ? Fmt(t.profile.score_gbps(), 2) : "-",
          Fmt(t.total(), 3),
-         Fmt(batch.front().second.total() / std::max(t.total(), 1e-12), 2) +
-             "x",
-         std::to_string(runs.back().result.iterations)});
+         Fmt(MedianPairedRatio(timings[kMerge], timings[i], total), 2) + "x",
+         std::to_string(reference.iterations)});
   }
   table.Print(std::cout);
 
-  bool identical = true;
-  for (size_t i = 1; i < runs.size(); ++i) {
-    const std::string label = std::string("merge vs ") + configs[i].name;
-    identical &=
-        SameClustering(runs[kMerge].result, runs[i].result, label.c_str());
-  }
   std::printf("\nclustering outputs identical across configs: %s\n",
               identical ? "YES" : "NO");
   const double speedup =
-      runs[kMerge].timing.total() / std::max(runs[fast].timing.total(),
-                                             1e-12);
-  const double slotted_speedup =
-      runs[kIndexed].timing.cluster_seconds /
-      std::max(runs[kQuant].timing.cluster_seconds, 1e-12);
+      MedianPairedRatio(timings[kMerge], timings[fast], total);
   // The kernel gate compares the scoring pass (sweep minus move
   // maintenance) of the scalar-kernel sweep against the vectorized
   // quantized sweep — same sweep structure, only the kernels differ.
@@ -516,22 +544,18 @@ int Main() {
   // is kernel-independent bit-identity-mandated work, so it is excluded:
   // it would otherwise dilute the ratio by a constant both sides share.
   const double kernel_speedup =
-      runs[kSlottedScalar].timing.profile.score_seconds() /
-      std::max(runs[kQuant].timing.profile.score_seconds(), 1e-12);
+      MedianPairedRatio(timings[kSlottedScalar], timings[kQuant], score);
+  const KMeansProfile& quant_profile = MedianRun(timings[kQuant]).profile;
   std::printf("%s speedup over merge (total): %.2fx\n", configs[fast].name,
               speedup);
-  std::printf("slotted+quant speedup over indexed (cluster time): %.2fx\n",
-              slotted_speedup);
   std::printf("kernel speedup, %s+quant vs scalar (scoring time): %.2fx\n",
               kernels::KindName(best), kernel_speedup);
   std::printf("quantized docs: %llu certified, %llu exact re-checks, "
               "%llu overlay fallbacks\n",
+              static_cast<unsigned long long>(quant_profile.quantized_docs),
               static_cast<unsigned long long>(
-                  runs[kQuant].timing.profile.quantized_docs),
-              static_cast<unsigned long long>(
-                  runs[kQuant].timing.profile.quantized_fallbacks),
-              static_cast<unsigned long long>(
-                  runs[kQuant].timing.profile.delta_fallbacks));
+                  quant_profile.quantized_fallbacks),
+              static_cast<unsigned long long>(quant_profile.delta_fallbacks));
 
   const double overhead_pct =
       MeasureInstrumentationOverhead(model, docs, kmeans,
@@ -562,7 +586,7 @@ int Main() {
       std::string(dir != nullptr && dir[0] != '\0' ? dir : ".") +
       "/BENCH_sweep_hotpath.json";
   WriteJson(path, scale, k, docs.size(), hw, configs[fast].name, batch,
-            trajectory, speedup, slotted_speedup, kernel_speedup);
+            trajectory, rounds, speedup, kernel_speedup);
 
   if (!identical) {
     std::fprintf(stderr, "FAILED: configurations disagree on the output\n");
@@ -572,15 +596,6 @@ int Main() {
   if (required > 0.0 && speedup < required) {
     std::fprintf(stderr, "FAILED: speedup %.2fx below required %.2fx\n",
                  speedup, required);
-    return 1;
-  }
-  const double required_slotted =
-      EnvScale("NIDC_REQUIRE_SLOTTED_SPEEDUP", 0.0);
-  if (required_slotted > 0.0 && slotted_speedup < required_slotted) {
-    std::fprintf(stderr,
-                 "FAILED: slotted-vs-indexed speedup %.2fx below required "
-                 "%.2fx\n",
-                 slotted_speedup, required_slotted);
     return 1;
   }
   const double required_kernel = EnvScale("NIDC_REQUIRE_KERNEL_SPEEDUP", 0.0);

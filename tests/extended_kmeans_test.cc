@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nidc/obs/metrics.h"
+
 namespace nidc {
 namespace {
 
@@ -174,6 +176,37 @@ TEST_F(ExtendedKMeansTest, DisjointDocumentBecomesOutlier) {
   } else {
     EXPECT_EQ(cluster, kUnassigned);
   }
+}
+
+TEST_F(ExtendedKMeansTest, RepIndexTermsGaugeSkipsOutlierOnlyTerms) {
+  // A document sharing no vocabulary with anything else, kept out of the
+  // seeded clusters, ends the run as an outlier: its terms stay in the
+  // context's vocabulary but have no live posting.
+  corpus_.AddText("xylophone quixotic zephyr", 2.0, 9);
+  model_->AddDocuments({12});
+  SimilarityContext ctx(*model_);
+  std::vector<DocId> docs = docs_;
+  docs.push_back(12);
+  KMeansSeeds seeds;
+  seeds.mode = SeedMode::kMembership;
+  seeds.memberships = {{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}};
+  obs::MetricsRegistry registry;
+  ExtendedKMeansOptions opts;
+  opts.k = 3;
+  opts.metrics = &registry;
+  auto result = RunExtendedKMeans(ctx, docs, opts, seeds);
+  ASSERT_TRUE(result.ok());
+  ASSERT_NE(std::find(result->outliers.begin(), result->outliers.end(), 12),
+            result->outliers.end());
+  std::set<TermId> clustered;
+  for (const auto& members : result->clusters) {
+    for (DocId d : members) {
+      for (const auto& e : ctx.Psi(d).entries()) clustered.insert(e.id);
+    }
+  }
+  EXPECT_LT(clustered.size(), ctx.num_local_terms());
+  EXPECT_EQ(registry.GetGauge("rep_index.terms")->Value(),
+            static_cast<double>(clustered.size()));
 }
 
 TEST_F(ExtendedKMeansTest, MembershipSeedingReproducesStructure) {

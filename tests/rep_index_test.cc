@@ -12,146 +12,11 @@
 namespace nidc {
 namespace {
 
-SparseVector Vec(std::vector<SparseVector::Entry> entries) {
-  return SparseVector::FromEntries(std::move(entries));
-}
-
-TEST(ClusterRepIndexTest, PostingsMirrorAddedVectors) {
-  ClusterRepIndex index(3);
-  index.Add(0, Vec({{1, 0.5}, {2, 0.25}}));
-  index.Add(1, Vec({{2, 1.0}, {3, 2.0}}));
-  index.Add(0, Vec({{2, 0.75}}));
-
-  auto p2 = index.PostingsOf(2);
-  ASSERT_EQ(p2.size(), 2u);
-  double w0 = 0.0;
-  double w1 = 0.0;
-  for (const auto& [cluster, weight] : p2) {
-    if (cluster == 0) w0 = weight;
-    if (cluster == 1) w1 = weight;
-  }
-  EXPECT_DOUBLE_EQ(w0, 1.0);  // 0.25 + 0.75
-  EXPECT_DOUBLE_EQ(w1, 1.0);
-  EXPECT_EQ(index.PostingsOf(99).size(), 0u);
-}
-
-TEST(ClusterRepIndexTest, ScoreAllMatchesPerClusterDots) {
-  ClusterRepIndex index(4);
-  std::vector<SparseVector> reps(4);
-  Rng rng(77);
-  for (size_t p = 0; p < 4; ++p) {
-    std::vector<SparseVector::Entry> entries;
-    for (int j = 0; j < 6; ++j) {
-      entries.push_back({static_cast<TermId>(rng.NextBounded(12)),
-                         rng.NextDouble()});
-    }
-    reps[p] = Vec(std::move(entries));
-    index.Add(p, reps[p]);
-  }
-  for (int probe = 0; probe < 20; ++probe) {
-    std::vector<SparseVector::Entry> entries;
-    for (int j = 0; j < 5; ++j) {
-      entries.push_back({static_cast<TermId>(rng.NextBounded(12)),
-                         rng.NextDouble()});
-    }
-    const SparseVector psi = Vec(std::move(entries));
-    std::vector<double> scores;
-    index.ScoreAll(psi, &scores);
-    ASSERT_EQ(scores.size(), 4u);
-    for (size_t p = 0; p < 4; ++p) {
-      EXPECT_NEAR(scores[p], reps[p].Dot(psi), 1e-12);
-    }
-  }
-}
-
-TEST(ClusterRepIndexTest, RemovingLastContributorSnapsWeightToExactZero) {
-  ClusterRepIndex index(2);
-  const SparseVector a = Vec({{5, 0.1}, {6, 0.2}});
-  const SparseVector b = Vec({{5, 0.3}});
-  index.Add(0, a);
-  index.Add(0, b);
-  index.Remove(0, a);
-  // Term 6 lost its only contributor: tombstoned, not a float residual.
-  EXPECT_EQ(index.PostingsOf(6).size(), 0u);
-  // Term 5 still has b's weight.
-  auto p5 = index.PostingsOf(5);
-  ASSERT_EQ(p5.size(), 1u);
-  EXPECT_NEAR(p5[0].second, 0.3, 1e-15);
-  index.Remove(0, b);
-  EXPECT_EQ(index.PostingsOf(5).size(), 0u);
-  std::vector<double> scores;
-  index.ScoreAll(Vec({{5, 1.0}, {6, 1.0}}), &scores);
-  EXPECT_DOUBLE_EQ(scores[0], 0.0);
-  EXPECT_DOUBLE_EQ(scores[1], 0.0);
-}
-
-TEST(ClusterRepIndexTest, TombstoneReviveRestoresPosting) {
-  ClusterRepIndex index(2);
-  const SparseVector a = Vec({{7, 1.5}});
-  index.Add(0, a);
-  index.Add(1, a);
-  index.Remove(0, a);
-  index.Add(0, Vec({{7, 2.5}}));
-  auto p7 = index.PostingsOf(7);
-  ASSERT_EQ(p7.size(), 2u);
-  for (const auto& [cluster, weight] : p7) {
-    if (cluster == 0) {
-      EXPECT_DOUBLE_EQ(weight, 2.5);
-    }
-    if (cluster == 1) {
-      EXPECT_DOUBLE_EQ(weight, 1.5);
-    }
-  }
-}
-
-TEST(ClusterRepIndexTest, StatsTrackTombstoneLifecycle) {
-  ClusterRepIndex index(2);
-  const SparseVector a = Vec({{7, 1.5}});
-  index.Add(0, a);
-  index.Add(1, a);
-  EXPECT_EQ(index.stats().live_entries, 2u);
-  EXPECT_EQ(index.stats().dead_entries, 0u);
-  EXPECT_EQ(index.stats().tombstones_created, 0u);
-
-  index.Remove(0, a);
-  EXPECT_EQ(index.stats().live_entries, 1u);
-  EXPECT_EQ(index.stats().dead_entries, 1u);
-  EXPECT_EQ(index.stats().tombstones_created, 1u);
-
-  index.Add(0, Vec({{7, 2.5}}));
-  EXPECT_EQ(index.stats().live_entries, 2u);
-  EXPECT_EQ(index.stats().dead_entries, 0u);
-  EXPECT_EQ(index.stats().tombstones_revived, 1u);
-}
-
-TEST(ClusterRepIndexTest, ResetPreservesCumulativeStats) {
-  ClusterRepIndex index(2);
-  const SparseVector a = Vec({{3, 1.0}});
-  index.Add(0, a);
-  index.Remove(0, a);
-  const uint64_t tombstones = index.stats().tombstones_created;
-  EXPECT_EQ(tombstones, 1u);
-  // The single-entry list compacts on the remove, so the cumulative
-  // compaction counters are also non-zero here.
-  EXPECT_EQ(index.stats().compactions, 1u);
-  index.Reset(2);
-  EXPECT_EQ(index.stats().live_entries, 0u);
-  EXPECT_EQ(index.stats().dead_entries, 0u);
-  EXPECT_EQ(index.stats().tombstones_created, tombstones);
-}
-
-TEST(ClusterRepIndexDeathTest, RemovingUnknownTermDiesLoudly) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ClusterRepIndex index(2);
-  index.Add(0, Vec({{1, 1.0}}));
-  EXPECT_DEATH(index.Remove(0, Vec({{2, 1.0}})), "never added");
-  EXPECT_DEATH(index.Remove(1, Vec({{1, 1.0}})), "never added");
-}
-
-// Randomized equivalence: a ClusterSet with the rep index enabled is driven
-// through random assign/detach/refresh sequences; after every mutation the
-// document-at-a-time scores must match the brute-force
-// `representative().Dot(psi)` path within 1e-12.
+// Randomized equivalence: a slotted ClusterSet is driven through random
+// assign/detach/refresh sequences; after the mutations the
+// document-at-a-time scores of its flat index must match the brute-force
+// `representative().Dot(psi)` path within 1e-12 (zero-snapped tombstones
+// clear float residuals the merge representatives keep).
 class RepIndexEquivalenceTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -184,11 +49,20 @@ class RepIndexEquivalenceTest : public testing::Test {
     docs_ = ids;
   }
 
+  // Round-robin memberships plus the first RefreshAll, which builds the
+  // flat index (moves before it maintain no postings).
+  void AssignRoundRobinAndBuild(ClusterSet* set) const {
+    for (size_t i = 0; i < docs_.size(); ++i) {
+      set->Assign(docs_[i], static_cast<int>(i % set->num_clusters()), *ctx_);
+    }
+    set->RefreshAll(*ctx_);
+  }
+
   void ExpectScoresMatch(const ClusterSet& set) {
     std::vector<double> scores;
     for (DocId id : docs_) {
       const SparseVector& psi = ctx_->Psi(id);
-      set.ScoreAllClusters(psi, &scores);
+      set.flat_index().ScoreAll(*ctx_, ctx_->SlotOf(id), &scores);
       ASSERT_EQ(scores.size(), set.num_clusters());
       for (size_t p = 0; p < set.num_clusters(); ++p) {
         const double brute = set.cluster(p).representative().Dot(psi);
@@ -206,8 +80,8 @@ class RepIndexEquivalenceTest : public testing::Test {
 
 TEST_F(RepIndexEquivalenceTest, RandomizedAssignDetachRefreshSequences) {
   const size_t k = 6;
-  ClusterSet set(k, /*use_rep_index=*/true);
-  ASSERT_TRUE(set.rep_index_enabled());
+  ClusterSet set(k, ClusterScoring::kSlotted);
+  AssignRoundRobinAndBuild(&set);
   Rng rng(99);
   for (int op = 0; op < 400; ++op) {
     const DocId id = docs_[rng.NextBounded(docs_.size())];
@@ -230,15 +104,13 @@ TEST_F(RepIndexEquivalenceTest, RandomizedAssignDetachRefreshSequences) {
 
 TEST_F(RepIndexEquivalenceTest, IndexedGainsMatchMergeGains) {
   const size_t k = 4;
-  ClusterSet set(k, /*use_rep_index=*/true);
+  ClusterSet set(k, ClusterScoring::kSlotted);
+  AssignRoundRobinAndBuild(&set);
   Rng rng(7);
-  for (DocId id : docs_) {
-    set.Assign(id, static_cast<int>(rng.NextBounded(k)), *ctx_);
-  }
   std::vector<double> scores;
   for (DocId id : docs_) {
     set.Assign(id, kUnassigned, *ctx_);
-    set.ScoreAllClusters(ctx_->Psi(id), &scores);
+    set.flat_index().ScoreAll(*ctx_, ctx_->SlotOf(id), &scores);
     for (size_t p = 0; p < k; ++p) {
       const Cluster& c = set.cluster(p);
       if (c.empty()) continue;
@@ -272,10 +144,7 @@ class FlatRepIndexTest : public RepIndexEquivalenceTest {
 TEST_F(FlatRepIndexTest, BuildFromClustersMatchesRepresentativeDots) {
   const size_t k = 5;
   ClusterSet set(k, ClusterScoring::kSlotted);
-  for (size_t i = 0; i < docs_.size(); ++i) {
-    set.Assign(docs_[i], static_cast<int>(i % k), *ctx_);
-  }
-  set.RefreshAll(*ctx_);
+  AssignRoundRobinAndBuild(&set);
   const FlatRepIndex& index = set.flat_index();
   ASSERT_TRUE(index.built());
   EXPECT_EQ(index.stats().builds, 1u);
@@ -297,10 +166,7 @@ TEST_F(FlatRepIndexTest, BuildFromClustersMatchesRepresentativeDots) {
 TEST_F(FlatRepIndexTest, ScoreAllDetachedMatchesPhysicalRemoval) {
   const size_t k = 5;
   ClusterSet set(k, ClusterScoring::kSlotted);
-  for (size_t i = 0; i < docs_.size(); ++i) {
-    set.Assign(docs_[i], static_cast<int>(i % k), *ctx_);
-  }
-  set.RefreshAll(*ctx_);
+  AssignRoundRobinAndBuild(&set);
   std::vector<double> scores;
   for (DocId id : docs_) {
     const size_t home = static_cast<size_t>(set.ClusterOf(id));
@@ -325,10 +191,7 @@ TEST_F(FlatRepIndexTest, ScoreAllDetachedMatchesPhysicalRemoval) {
 TEST_F(FlatRepIndexTest, MoveMaintenanceTracksRepresentatives) {
   const size_t k = 5;
   ClusterSet set(k, ClusterScoring::kSlotted);
-  for (size_t i = 0; i < docs_.size(); ++i) {
-    set.Assign(docs_[i], static_cast<int>(i % k), *ctx_);
-  }
-  set.RefreshAll(*ctx_);
+  AssignRoundRobinAndBuild(&set);
   Rng rng(1234);
   std::vector<double> scores;
   for (int move = 0; move < 200; ++move) {
@@ -459,11 +322,45 @@ TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
     EXPECT_EQ(postings[0].second, value);
   }
 
-  // A rebuild flushes overlay and tombstones back into a clean base.
+  // A rebuild flushes overlay and tombstones back into a clean base; the
+  // cumulative counters survive it.
   set.RefreshAll(*ctx_);
   EXPECT_EQ(index.stats().builds, 2u);
   EXPECT_EQ(index.stats().dead_entries, 0u);
   EXPECT_EQ(index.stats().live_entries, 4u);
+  EXPECT_EQ(index.stats().tombstones_created, 4u);
+  EXPECT_EQ(index.stats().tombstones_revived, 2u);
+}
+
+TEST_F(FlatRepIndexLifecycleTest, LiveTermsCountBaseAndOverlayPostings) {
+  ClusterSet set(2, ClusterScoring::kSlotted);
+  set.Assign(0, 0, *ctx_);
+  set.Assign(1, 1, *ctx_);
+  set.RefreshAll(*ctx_);
+  const FlatRepIndex& index = set.flat_index();
+  EXPECT_EQ(index.NumLiveTerms(), 4u);
+  // Doc 0's terms now live only in the overlay (their base entries are
+  // tombstones): still live.
+  set.Assign(0, 1, *ctx_);
+  EXPECT_EQ(index.NumLiveTerms(), 4u);
+  // Detached, doc 0 is an outlier: the terms only it carries have no live
+  // posting left, though they stay in the context's vocabulary.
+  set.Assign(0, kUnassigned, *ctx_);
+  EXPECT_EQ(index.NumLiveTerms(), 2u);
+  EXPECT_EQ(ctx_->num_local_terms(), 4u);
+}
+
+using FlatRepIndexDeathTest = FlatRepIndexLifecycleTest;
+
+TEST_F(FlatRepIndexDeathTest, RemovingUnknownTermDiesLoudly) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FlatRepIndex index;
+  index.BuildFromRepresentatives(*ctx_, {ctx_->Psi(0), ctx_->Psi(1)});
+  // Doc 0's (term, cluster 1) pairs exist in neither base nor overlay.
+  EXPECT_DEATH(index.ApplyRemove(*ctx_, ctx_->SlotOf(0), 1), "never added");
+  // A base entry whose last contributor already left is a tombstone.
+  index.ApplyRemove(*ctx_, ctx_->SlotOf(0), 0);
+  EXPECT_DEATH(index.ApplyRemove(*ctx_, ctx_->SlotOf(0), 0), "never added");
 }
 
 TEST(SimilarityContextDeathTest, UnknownDocIdFailsLoudlyWithId) {

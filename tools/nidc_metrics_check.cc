@@ -65,7 +65,6 @@ constexpr const char* kMetricKeys[] = {
     "kernel.delta_fallbacks",
     "rep_index.live_entries",
     "rep_index.tombstones",
-    "rep_index.compactions",
     "rep_index.moves_applied",
     "thread_pool.tasks_executed",
     "thread_pool.queue_high_water",
