@@ -17,9 +17,13 @@
 // parallelism must never change what any single feed computes.
 //
 // Reported per row: wall seconds, aggregate docs/sec, enqueue-to-applied
-// batch latency p50/p99 (TakeLatencySamples), and backpressure retries
-// (OutOfRange answers the driver slept on). WAL fsync is off for every
-// row so the ratio measures compute scaling, not one disk's fsync queue.
+// batch latency p50/p99, and backpressure retries (OutOfRange answers the
+// enqueue loop slept on). The latency percentiles are read from the service's
+// exported `shard.ingest.latency_seconds` histogram — the series /metrics
+// serves — so they are bucket-interpolated estimates, not exact order
+// statistics; each row starts a fresh service, hence a fresh histogram.
+// WAL fsync is off for every row so the ratio measures compute scaling,
+// not one disk's fsync queue.
 // Every batch also carries a request trace through the pipeline, so each
 // row breaks the end-to-end latency into stages: enqueue-wait (enqueue →
 // worker dequeue), apply (dequeue → clusterer step) and checkpoint (step
@@ -250,9 +254,11 @@ RowResult RunRow(const RowConfig& row, const std::string& root,
   result.docs_per_sec =
       static_cast<double>(total_docs) / std::max(result.seconds, 1e-9);
 
-  const std::vector<double> samples = (*service)->TakeLatencySamples();
-  result.p50_ms = Percentile(samples, 0.50) * 1e3;
-  result.p99_ms = Percentile(samples, 0.99) * 1e3;
+  // Registered at service start, so the bounds argument goes unused.
+  const obs::Histogram* latency =
+      (*service)->metrics()->GetHistogram("shard.ingest.latency_seconds", {});
+  result.p50_ms = latency->Quantile(0.50) * 1e3;
+  result.p99_ms = latency->Quantile(0.99) * 1e3;
 
   // Split the end-to-end latency into stages from the completed trace
   // records: enqueue-wait is time spent in the shard queue, apply is the

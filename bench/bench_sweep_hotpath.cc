@@ -23,10 +23,10 @@
 // incremental stream replay emits a BENCH_sweep_hotpath.json trajectory.
 //
 // It also measures the observability overhead: the same clustering run
-// with the full telemetry stack attached (MetricsRegistry, Tracer,
-// EventLog, PhaseProfiler, ProvenanceLog, TimeSeriesStore, RequestTracer,
-// SloEngine) vs the default null registry (median of paired back-to-back
-// repetitions).
+// with the full telemetry stack attached (MetricsRegistry, EventLog,
+// PhaseProfiler — the one sink of every NIDC_SPAN — ProvenanceLog,
+// TimeSeriesStore, RequestTracer, SloEngine) vs the default null registry
+// (median of paired back-to-back repetitions).
 //
 // Env knobs:
 //   NIDC_SWEEP_SCALE   corpus scale (1.0 = paper-scale 7,578 docs)
@@ -61,7 +61,6 @@
 #include "nidc/obs/reqtrace.h"
 #include "nidc/obs/slo.h"
 #include "nidc/obs/timeseries.h"
-#include "nidc/obs/trace.h"
 #include "nidc/util/thread_pool.h"
 
 namespace nidc::bench {
@@ -119,8 +118,8 @@ double Median(std::vector<double> values) {
 }
 
 // Instrumented-vs-null overhead of the *full* observability stack on the
-// fast configuration: a registry, tracer, event log, phase profiler,
-// provenance log, time-series store, request tracer and SLO engine all
+// fast configuration: a registry, event log, phase profiler, provenance
+// log, time-series store, request tracer and SLO engine all
 // attached (with a post-run ObserveStep and a per-step request trace +
 // SLO evaluation, as the stream driver issues), against everything null.
 // The telemetry objects are constructed once and live across all
@@ -150,7 +149,6 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
   // noise from the overhead ratio.
   SimilarityContext ctx(model, ThreadPool::Resolve(0));
   obs::MetricsRegistry registry;
-  obs::Tracer tracer;
   obs::EventLog events(4096, &registry);
   obs::PhaseProfiler::Options profiler_options;
   profiler_options.metrics = &registry;
@@ -178,7 +176,6 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
     options.metrics = instrumented ? &registry : nullptr;
     options.events = instrumented ? &events : nullptr;
     options.provenance = instrumented ? &provenance : nullptr;
-    obs::ScopedTracerInstall install(instrumented ? &tracer : nullptr);
     obs::ScopedProfilerInstall install_profiler(instrumented ? &profiler
                                                              : nullptr);
     if (instrumented) profiler.SetStep(step);

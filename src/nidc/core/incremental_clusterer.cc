@@ -7,8 +7,8 @@
 #include "nidc/obs/cluster_health.h"
 #include "nidc/obs/event_log.h"
 #include "nidc/obs/metrics.h"
+#include "nidc/obs/profiler.h"
 #include "nidc/obs/provenance.h"
-#include "nidc/obs/trace.h"
 #include "nidc/util/stopwatch.h"
 #include "nidc/util/thread_pool.h"
 

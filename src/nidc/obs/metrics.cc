@@ -8,7 +8,8 @@ namespace nidc::obs {
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)),
-      counts_(upper_bounds_.size() + 1) {
+      counts_(upper_bounds_.size() + 1),
+      exemplars_(2 * counts_.size()) {
   NIDC_CHECK(!upper_bounds_.empty()) << "histogram needs >= 1 bucket bound";
   NIDC_CHECK(std::is_sorted(upper_bounds_.begin(), upper_bounds_.end()) &&
              std::adjacent_find(upper_bounds_.begin(), upper_bounds_.end()) ==
@@ -16,16 +17,34 @@ Histogram::Histogram(std::vector<double> upper_bounds)
       << "histogram bounds must be strictly increasing";
 }
 
-void Histogram::Observe(double value) {
+size_t Histogram::BucketOf(double value) const {
   const auto it =
       std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), value);
-  const size_t bucket = static_cast<size_t>(it - upper_bounds_.begin());
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  return static_cast<size_t>(it - upper_bounds_.begin());
+}
+
+void Histogram::Observe(double value) {
+  counts_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
   double current = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(current, current + value,
                                      std::memory_order_relaxed)) {
   }
+}
+
+void Histogram::Observe(double value, const Exemplar& exemplar) {
+  const size_t bucket = BucketOf(value);
+  exemplars_[2 * bucket].store(exemplar.hi, std::memory_order_relaxed);
+  exemplars_[2 * bucket + 1].store(exemplar.lo, std::memory_order_relaxed);
+  Observe(value);
+}
+
+std::vector<uint64_t> Histogram::BucketCounts() const {
+  std::vector<uint64_t> counts;
+  counts.reserve(counts_.size());
+  for (const auto& count : counts_) {
+    counts.push_back(count.load(std::memory_order_relaxed));
+  }
+  return counts;
 }
 
 uint64_t Histogram::CumulativeCount(size_t i) const {
@@ -34,6 +53,61 @@ uint64_t Histogram::CumulativeCount(size_t i) const {
     total += counts_[b].load(std::memory_order_relaxed);
   }
   return total;
+}
+
+double Histogram::Quantile(double q) const {
+  const std::vector<uint64_t> counts = BucketCounts();
+  uint64_t total = 0;
+  for (uint64_t count : counts) total += count;
+  if (total == 0) return 0.0;
+  const double target = q * static_cast<double>(total);
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const uint64_t next = cumulative + counts[i];
+    if (static_cast<double>(next) >= target && counts[i] > 0) {
+      if (i >= upper_bounds_.size()) return upper_bounds_.back();
+      const double lo = i == 0 ? 0.0 : upper_bounds_[i - 1];
+      const double hi = upper_bounds_[i];
+      const double within =
+          (target - static_cast<double>(cumulative)) /
+          static_cast<double>(counts[i]);
+      return lo + (hi - lo) * std::min(1.0, std::max(0.0, within));
+    }
+    cumulative = next;
+  }
+  return upper_bounds_.back();
+}
+
+Exemplar Histogram::ExemplarAt(double q) const {
+  const std::vector<uint64_t> counts = BucketCounts();
+  uint64_t total = 0;
+  for (uint64_t count : counts) total += count;
+  if (total == 0) return Exemplar{};
+  const double target = q * static_cast<double>(total);
+  uint64_t cumulative = 0;
+  size_t bucket = counts.size() - 1;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    cumulative += counts[i];
+    if (static_cast<double>(cumulative) >= target && counts[i] > 0) {
+      bucket = i;
+      break;
+    }
+  }
+  const auto exemplar_of = [&](size_t i) {
+    return Exemplar{exemplars_[2 * i].load(std::memory_order_relaxed),
+                    exemplars_[2 * i + 1].load(std::memory_order_relaxed)};
+  };
+  // Prefer the slowest occupied bucket at or above the quantile bucket —
+  // that is the exemplar an operator chasing the p99 tail wants.
+  for (size_t i = counts.size(); i-- > bucket;) {
+    const Exemplar exemplar = exemplar_of(i);
+    if (counts[i] > 0 && exemplar.valid()) return exemplar;
+  }
+  for (size_t i = bucket; i-- > 0;) {
+    const Exemplar exemplar = exemplar_of(i);
+    if (counts[i] > 0 && exemplar.valid()) return exemplar;
+  }
+  return Exemplar{};
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
@@ -95,12 +169,17 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
       case Kind::kHistogram: {
         const Histogram& h = histograms_[slot.index];
         sample.kind = MetricSample::Kind::kHistogram;
-        sample.count = h.TotalCount();
-        sample.sum = h.Sum();
+        // One read of every bucket: the cumulative buckets and the count
+        // come from the same counts, so they agree under concurrent
+        // Observe calls.
+        const std::vector<uint64_t> counts = h.BucketCounts();
+        uint64_t cumulative = 0;
         for (size_t i = 0; i < h.upper_bounds().size(); ++i) {
-          sample.buckets.emplace_back(h.upper_bounds()[i],
-                                      h.CumulativeCount(i));
+          cumulative += counts[i];
+          sample.buckets.emplace_back(h.upper_bounds()[i], cumulative);
         }
+        sample.count = cumulative + counts.back();
+        sample.sum = h.Sum();
         break;
       }
     }

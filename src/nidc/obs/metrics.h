@@ -58,31 +58,62 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// Opaque 128-bit id attached to a histogram observation (in practice a
+/// request trace id, so a latency bucket points at a concrete trace).
+struct Exemplar {
+  uint64_t hi = 0;
+  uint64_t lo = 0;
+
+  bool valid() const { return hi != 0 || lo != 0; }
+};
+
 /// Fixed-bucket histogram with Prometheus `le` semantics: an observation
 /// lands in the first bucket whose upper bound is >= the value (upper
 /// bounds are inclusive); values above every bound land in the implicit
 /// +Inf overflow bucket.
+///
+/// The total count is the sum of the buckets, so every reader derives
+/// count, cumulative buckets and quantiles from one pass over them and
+/// never sees a bucket exceed the count it reports.
 class Histogram {
  public:
   /// `upper_bounds` must be strictly increasing and non-empty.
   explicit Histogram(std::vector<double> upper_bounds);
 
   void Observe(double value);
+  /// Observe() that also makes `exemplar` its bucket's exemplar (the last
+  /// one observed there wins).
+  void Observe(double value, const Exemplar& exemplar);
 
   const std::vector<double>& upper_bounds() const { return upper_bounds_; }
+  /// Per-bucket (non-cumulative) counts read in one pass, one per bound
+  /// plus the +Inf overflow last.
+  std::vector<uint64_t> BucketCounts() const;
   /// Cumulative count of observations <= upper_bounds()[i].
   uint64_t CumulativeCount(size_t i) const;
-  uint64_t TotalCount() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  uint64_t TotalCount() const { return CumulativeCount(counts_.size() - 1); }
   double Sum() const { return sum_.load(std::memory_order_relaxed); }
 
+  /// Linear-interpolated quantile estimate from the bucket counts (0 when
+  /// empty; the last bound when `q` lands in the overflow bucket).
+  double Quantile(double q) const;
+  /// Exemplar of the slowest occupied bucket at or above quantile `q`'s
+  /// bucket (falling back to faster ones); invalid when none was
+  /// recorded. An exemplar read while another thread writes the same
+  /// bucket may pair halves of two ids: callers that need a coherent id
+  /// serialize both sides.
+  Exemplar ExemplarAt(double q) const;
+
  private:
+  size_t BucketOf(double value) const;
+
   std::vector<double> upper_bounds_;
   // counts_[i] is the number of observations in bucket i (non-cumulative);
   // counts_ has upper_bounds_.size() + 1 slots, the last being +Inf.
   std::deque<std::atomic<uint64_t>> counts_;
-  std::atomic<uint64_t> count_{0};
+  // Bucket i's exemplar as halves 2i (hi) and 2i + 1 (lo), 0/0 = none;
+  // written only by Observe(value, exemplar).
+  std::deque<std::atomic<uint64_t>> exemplars_;
   std::atomic<double> sum_{0.0};
 };
 

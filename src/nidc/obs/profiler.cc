@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "nidc/obs/json_util.h"
-#include "nidc/obs/trace.h"
 #include "nidc/util/thread_pool.h"
 
 namespace nidc::obs {
@@ -36,8 +35,8 @@ uint32_t ThreadTraceId() {
   return id;
 }
 
-// Per-thread span bridge state: the ambient profiler, the collapsed path
-// of the open spans (";"-joined, grown/truncated in place so span entry
+// Per-thread span state: the ambient profiler, the collapsed path of the
+// open spans (";"-joined, grown/truncated in place so span entry
 // allocates at most once the path outgrows its capacity), and the frame
 // stack carrying each open span's start readings.
 struct Frame {
@@ -55,11 +54,9 @@ thread_local std::vector<Frame> t_span_frames;
 
 }  // namespace
 
-namespace internal {
-
-bool ProfilerSpanBegin(const char* name) {
+ScopedSpan::ScopedSpan(const char* name) {
   PhaseProfiler* profiler = t_current_profiler;
-  if (profiler == nullptr) return false;
+  if (profiler == nullptr) return;
   Frame frame;
   frame.profiler = profiler;
   frame.name = name;
@@ -70,10 +67,11 @@ bool ProfilerSpanBegin(const char* name) {
   frame.cpu_start = ThreadCpuSeconds();
   frame.wall_start = SteadySeconds();
   t_span_frames.push_back(frame);
-  return true;
+  active_ = true;
 }
 
-void ProfilerSpanEnd() {
+ScopedSpan::~ScopedSpan() {
+  if (!active_) return;
   const double wall_end = SteadySeconds();
   const double cpu_end = ThreadCpuSeconds();
   const uint64_t pool_end = ThreadPool::GlobalStats().tasks_executed;
@@ -85,8 +83,6 @@ void ProfilerSpanEnd() {
       pool_end - frame.pool_start, ThreadTraceId());
   t_span_path.resize(frame.path_length_before);
 }
-
-}  // namespace internal
 
 PhaseProfiler::PhaseProfiler(Options options) : options_(options) {
   if (options_.metrics != nullptr) {
@@ -250,6 +246,36 @@ std::string PhaseProfiler::RenderJson() const {
       .AddRaw("totals", RenderPhaseArray(totals))
       .AddRaw("last_step", RenderPhaseArray(last))
       .Render();
+}
+
+std::string PhaseProfiler::RenderStepTreeJson() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return JsonObjectBuilder()
+      .Add("name", "(root)")
+      .Add("count", 0)
+      .Add("seconds", 0.0)
+      .AddRaw("children", RenderTreeLevel(current_step_, ""))
+      .Render();
+}
+
+std::string PhaseProfiler::RenderTreeLevel(
+    const std::map<std::string, PhaseAccum>& phases,
+    const std::string& prefix) {
+  // The paths one segment below `prefix` sort contiguously after it.
+  std::string out = "[";
+  for (auto it = phases.lower_bound(prefix);
+       it != phases.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    if (it->first.find(';', prefix.size()) != std::string::npos) continue;
+    if (out.size() > 1) out += ",";
+    out += JsonObjectBuilder()
+               .Add("name", it->first.substr(prefix.size()))
+               .Add("count", it->second.count)
+               .Add("seconds", it->second.wall_seconds)
+               .AddRaw("children", RenderTreeLevel(phases, it->first + ";"))
+               .Render();
+  }
+  return out + "]";
 }
 
 std::string PhaseProfiler::RenderChromeTrace() const {

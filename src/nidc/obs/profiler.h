@@ -1,14 +1,19 @@
-// Continuous self-profiler: promotes the NIDC_SPAN call sites into an
-// always-on per-step phase profile with wall *and* CPU time plus
-// thread-pool-task attribution, cheap enough to leave running in
+// Scoped phase spans (NIDC_SPAN) and the continuous self-profiler that is
+// their one sink: an always-on per-step phase profile with wall *and* CPU
+// time plus thread-pool-task attribution, cheap enough to leave running in
 // production (the bench_sweep_hotpath overhead guard covers it).
 //
-// Like the Tracer, the profiler is *ambient*: ScopedProfilerInstall sets a
-// thread-local pointer, and every NIDC_SPAN on that thread then records a
-// frame — with no profiler installed a span pays one extra thread-local
-// load and a branch, preserving the "no registry = zero overhead"
-// contract. Spans aggregate by their full collapsed path ("kmeans.run;
-// kmeans.sweep"), and each closed span captures:
+//   obs::ScopedProfilerInstall install(&profiler);  // thread-local ambient
+//   { NIDC_SPAN("kmeans.sweep"); ... }              // anywhere downstream
+//
+// Spans are *ambient*: the profiler installed on the calling thread
+// decides whether anything is recorded, so the library is instrumented
+// without plumbing a handle through every signature. With none installed
+// a span costs one thread-local load and a branch (the "no registry = zero
+// overhead" contract); on threads without one (thread-pool workers) spans
+// are no-ops — phase structure is single-threaded, parallelism lives
+// *inside* spans. Spans aggregate by their full collapsed path
+// ("kmeans.run;kmeans.sweep"), and each closed span captures:
 //   * wall seconds (steady clock),
 //   * CPU seconds of the *installing* thread (CLOCK_THREAD_CPUTIME_ID —
 //     pool workers burn CPU the thread clock cannot see, which is what
@@ -22,6 +27,8 @@
 //     the input format of flamegraph.pl / speedscope;
 //   * RenderJson — phase table (totals + last completed step), the
 //     /profilez?format=json document;
+//   * RenderStepTreeJson — the current step's spans as a nested tree,
+//     the `trace` field of `nidc_cli stream --trace` records;
 //   * RenderChromeTrace — trace-event JSON for chrome://tracing /
 //     Perfetto, built from a bounded ring of raw span events.
 
@@ -67,7 +74,7 @@ class PhaseProfiler {
   PhaseProfiler(const PhaseProfiler&) = delete;
   PhaseProfiler& operator=(const PhaseProfiler&) = delete;
 
-  /// Called by the span bridge when a span closes. `path` is the full
+  /// Called by ScopedSpan when a span closes. `path` is the full
   /// collapsed path, `name` the leaf (a string literal with static
   /// storage), `start_seconds` the span's start offset from the
   /// profiler's epoch.
@@ -96,6 +103,13 @@ class PhaseProfiler {
   /// "wall_us":..,"cpu_us":..,"pool_tasks":..},...],"last_step":[...]}`.
   std::string RenderJson() const;
 
+  /// The current (not yet rolled) step's spans as nested JSON:
+  /// `{"name":"(root)","count":0,"seconds":0,"children":[{"name":..,
+  /// "count":..,"seconds":..,"children":[...]},...]}`, `seconds` being
+  /// wall time and children in path order. A path whose parent path was
+  /// not recorded this step (cut by `max_phases`) is left out.
+  std::string RenderStepTreeJson() const;
+
   /// Chrome trace-event JSON (`{"traceEvents":[...]}`; complete "X"
   /// events) over the retained raw span ring.
   std::string RenderChromeTrace() const;
@@ -117,6 +131,10 @@ class PhaseProfiler {
 
   static std::vector<PhaseStats> Flatten(
       const std::map<std::string, PhaseAccum>& phases);
+  /// JSON array of the tree nodes one segment below `prefix`.
+  static std::string RenderTreeLevel(
+      const std::map<std::string, PhaseAccum>& phases,
+      const std::string& prefix);
 
   const Options options_;
   Counter* spans_counter_ = nullptr;
@@ -135,8 +153,7 @@ class PhaseProfiler {
 
 /// RAII installation of `profiler` as the calling thread's ambient
 /// profiler; restores the previous one on destruction. Null uninstalls
-/// for the scope. Install alongside ScopedTracerInstall — the two are
-/// independent consumers of the same NIDC_SPAN sites.
+/// for the scope.
 class ScopedProfilerInstall {
  public:
   explicit ScopedProfilerInstall(PhaseProfiler* profiler);
@@ -152,6 +169,29 @@ class ScopedProfilerInstall {
   PhaseProfiler* previous_;
 };
 
+/// RAII span: opens a frame under the innermost open span of the thread's
+/// profiler (no-op when none is installed); closes it and records its
+/// wall/CPU time and pool tasks on destruction.
+class ScopedSpan {
+ public:
+  explicit ScopedSpan(const char* name);
+  ~ScopedSpan();
+
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+ private:
+  bool active_ = false;  // a profiler frame is open for this span
+};
+
 }  // namespace nidc::obs
+
+#define NIDC_SPAN_CONCAT_INNER(a, b) a##b
+#define NIDC_SPAN_CONCAT(a, b) NIDC_SPAN_CONCAT_INNER(a, b)
+
+/// Opens a scoped span covering the rest of the enclosing block:
+///   NIDC_SPAN("kmeans.sweep");
+#define NIDC_SPAN(name) \
+  ::nidc::obs::ScopedSpan NIDC_SPAN_CONCAT(nidc_span_, __LINE__)(name)
 
 #endif  // NIDC_OBS_PROFILER_H_

@@ -130,49 +130,6 @@ double TraceRecord::EndToEndSeconds() const {
   return step - stages.front().seconds;
 }
 
-double StageAggregate::Quantile(double q) const {
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    const uint64_t next = cumulative + counts[i];
-    if (static_cast<double>(next) >= target && counts[i] > 0) {
-      if (i >= upper_bounds.size()) return upper_bounds.back();
-      const double lo = i == 0 ? 0.0 : upper_bounds[i - 1];
-      const double hi = upper_bounds[i];
-      const double within =
-          (target - static_cast<double>(cumulative)) /
-          static_cast<double>(counts[i]);
-      return lo + (hi - lo) * std::min(1.0, std::max(0.0, within));
-    }
-    cumulative = next;
-  }
-  return upper_bounds.empty() ? 0.0 : upper_bounds.back();
-}
-
-TraceContext StageAggregate::ExemplarAt(double q) const {
-  if (total == 0) return TraceContext{};
-  const double target = q * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  size_t bucket = counts.size() - 1;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    cumulative += counts[i];
-    if (static_cast<double>(cumulative) >= target && counts[i] > 0) {
-      bucket = i;
-      break;
-    }
-  }
-  // Prefer the slowest occupied bucket at or above the quantile bucket —
-  // that is the exemplar an operator chasing the p99 tail wants.
-  for (size_t i = counts.size(); i-- > bucket;) {
-    if (counts[i] > 0 && exemplars[i].valid()) return exemplars[i];
-  }
-  for (size_t i = bucket; i-- > 0;) {
-    if (counts[i] > 0 && exemplars[i].valid()) return exemplars[i];
-  }
-  return TraceContext{};
-}
-
 RequestTracer::RequestTracer() : RequestTracer(Options{}) {}
 
 RequestTracer::RequestTracer(Options options) : options_(std::move(options)) {
@@ -195,12 +152,7 @@ RequestTracer::RequestTracer(Options options) : options_(std::move(options)) {
     events_dropped_counter_ =
         metrics->GetCounter("pipeline.stage_events_dropped");
     open_gauge_ = metrics->GetGauge("pipeline.open_traces");
-    for (size_t i = 0; i < kNumStages; ++i) {
-      stage_histograms_[i] = metrics->GetHistogram(
-          std::string("pipeline.stage_seconds.") +
-              StageName(static_cast<Stage>(i)),
-          options_.stage_buckets);
-    }
+    TenantHistogramsLocked("");
     e2e_histogram_ =
         metrics->GetHistogram("pipeline.e2e_seconds", options_.stage_buckets);
   }
@@ -465,38 +417,29 @@ void RequestTracer::ObserveStageLocked(const std::string& tenant,
                                        const TraceContext& id) {
   const size_t stage_index = static_cast<size_t>(stage);
   if (stage_index >= kNumStages) return;
-  auto observe = [&](std::vector<StageAggregate>& aggregates) {
-    StageAggregate& agg = aggregates[stage_index];
-    size_t bucket = agg.upper_bounds.size();
-    for (size_t i = 0; i < agg.upper_bounds.size(); ++i) {
-      if (duration <= agg.upper_bounds[i]) {
-        bucket = i;
-        break;
-      }
-    }
-    ++agg.counts[bucket];
-    agg.exemplars[bucket] = id;
-    ++agg.total;
-    agg.sum += duration;
-  };
-  observe(TenantAggregatesLocked(""));
-  if (!tenant.empty()) observe(TenantAggregatesLocked(tenant));
-  if (stage_histograms_[stage_index] != nullptr) {
-    stage_histograms_[stage_index]->Observe(duration);
+  const Exemplar exemplar{id.hi, id.lo};
+  TenantHistogramsLocked("")[stage_index]->Observe(duration, exemplar);
+  if (!tenant.empty()) {
+    TenantHistogramsLocked(tenant)[stage_index]->Observe(duration, exemplar);
   }
 }
 
-std::vector<StageAggregate>& RequestTracer::TenantAggregatesLocked(
+RequestTracer::StageHistograms& RequestTracer::TenantHistogramsLocked(
     const std::string& tenant) {
-  auto it = aggregates_.find(tenant);
-  if (it == aggregates_.end()) {
-    std::vector<StageAggregate> fresh(kNumStages);
-    for (StageAggregate& agg : fresh) {
-      agg.upper_bounds = options_.stage_buckets;
-      agg.counts.assign(agg.upper_bounds.size() + 1, 0);
-      agg.exemplars.assign(agg.upper_bounds.size() + 1, TraceContext{});
+  auto it = stage_histograms_.find(tenant);
+  if (it == stage_histograms_.end()) {
+    StageHistograms histograms;
+    for (size_t i = 0; i < kNumStages; ++i) {
+      if (tenant.empty() && options_.metrics != nullptr) {
+        histograms[i] = options_.metrics->GetHistogram(
+            std::string("pipeline.stage_seconds.") +
+                StageName(static_cast<Stage>(i)),
+            options_.stage_buckets);
+      } else {
+        histograms[i] = &owned_histograms_.emplace_back(options_.stage_buckets);
+      }
     }
-    it = aggregates_.emplace(tenant, std::move(fresh)).first;
+    it = stage_histograms_.emplace(tenant, histograms).first;
   }
   return it->second;
 }
@@ -523,13 +466,6 @@ std::vector<TraceRecord> RequestTracer::Completed(size_t max_traces,
   }
   std::reverse(out.begin(), out.end());
   return out;
-}
-
-std::map<std::string, std::vector<StageAggregate>>
-RequestTracer::Aggregates() {
-  Fold();
-  std::lock_guard<std::mutex> lock(mu_);
-  return aggregates_;
 }
 
 namespace {
@@ -565,31 +501,37 @@ std::string RenderTraceJson(const TraceRecord& record) {
 }  // namespace
 
 std::string RequestTracer::RenderWaterfallJson() {
-  const auto aggregates = Aggregates();
+  Fold();
+  // Under the lock: every Observe happens in the fold, so the exemplars
+  // read here are never torn by a concurrent write.
+  std::lock_guard<std::mutex> lock(mu_);
   std::string tenants = "[";
   bool first_tenant = true;
-  for (const auto& [tenant, stages] : aggregates) {
+  for (const auto& [tenant, stages] : stage_histograms_) {
     std::string stage_rows = "[";
     bool first_stage = true;
     for (size_t i = 0; i < stages.size(); ++i) {
-      const StageAggregate& agg = stages[i];
-      if (agg.total == 0) continue;
+      const Histogram& histogram = *stages[i];
+      const uint64_t count = histogram.TotalCount();
+      if (count == 0) continue;
       if (!first_stage) stage_rows += ",";
       first_stage = false;
       JsonObjectBuilder row;
       row.Add("stage", StageName(static_cast<Stage>(i)));
-      row.Add("count", agg.total);
+      row.Add("count", count);
       row.Add("mean_ms",
-              agg.total == 0 ? 0.0
-                             : agg.sum / static_cast<double>(agg.total) *
-                                   1000.0);
-      row.Add("p50_ms", agg.Quantile(0.5) * 1000.0);
-      row.Add("p99_ms", agg.Quantile(0.99) * 1000.0);
-      const TraceContext exemplar = agg.ExemplarAt(0.99);
-      if (exemplar.valid()) row.Add("p99_exemplar", exemplar.ToHex());
+              histogram.Sum() / static_cast<double>(count) * 1000.0);
+      row.Add("p50_ms", histogram.Quantile(0.5) * 1000.0);
+      row.Add("p99_ms", histogram.Quantile(0.99) * 1000.0);
+      const Exemplar exemplar = histogram.ExemplarAt(0.99);
+      if (exemplar.valid()) {
+        row.Add("p99_exemplar", TraceContext{exemplar.hi, exemplar.lo}.ToHex());
+      }
       stage_rows += row.Render();
     }
     stage_rows += "]";
+    // The eagerly created all-tenant row stays out until it has data.
+    if (first_stage) continue;
     if (!first_tenant) tenants += ",";
     first_tenant = false;
     JsonObjectBuilder entry;
@@ -600,13 +542,10 @@ std::string RequestTracer::RenderWaterfallJson() {
   tenants += "]";
   JsonObjectBuilder obj;
   obj.AddRaw("waterfall", tenants);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    obj.Add("traces_started", traces_started_);
-    obj.Add("traces_completed", traces_completed_);
-    obj.Add("stage_events_dropped",
-            events_dropped_.load(std::memory_order_relaxed));
-  }
+  obj.Add("traces_started", traces_started_);
+  obj.Add("traces_completed", traces_completed_);
+  obj.Add("stage_events_dropped",
+          events_dropped_.load(std::memory_order_relaxed));
   return obj.Render();
 }
 

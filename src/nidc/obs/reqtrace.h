@@ -12,10 +12,10 @@
 // stage-event ring (multi-producer claim via one fetch_add, per-slot
 // sequence validation, laps counted as drops — never blocked). A fold
 // step, taken under a mutex well off the per-stage path (on trace
-// completion and on every read), drains the ring into per-trace records,
-// per-tenant per-stage latency histograms with exemplar trace ids on
-// every bucket, and aggregate `pipeline.stage_seconds.<stage>` registry
-// histograms.
+// completion and on every read), drains the ring into per-trace records
+// and per-(tenant, stage) latency `Histogram`s with exemplar trace ids on
+// every bucket. The all-tenant row is the registry's
+// `pipeline.stage_seconds.<stage>` histogram when a registry is supplied.
 //
 // Layers below the shard service (DurableClusterer, WalShipper) do not
 // know trace ids; the tenant scopes the traces of a closing window onto
@@ -37,6 +37,7 @@
 #ifndef NIDC_OBS_REQTRACE_H_
 #define NIDC_OBS_REQTRACE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -121,23 +122,6 @@ struct TraceRecord {
   double EndToEndSeconds() const;
 };
 
-/// Per-(tenant, stage) latency aggregate with per-bucket exemplars: the
-/// trace id of the last observation to land in each bucket, so the p99
-/// bucket always carries a concrete trace to pull up in `/tracez`.
-struct StageAggregate {
-  std::vector<double> upper_bounds;
-  std::vector<uint64_t> counts;       ///< one per bound + overflow
-  std::vector<TraceContext> exemplars;  ///< parallel to counts
-  uint64_t total = 0;
-  double sum = 0.0;
-
-  /// Linear-interpolated quantile estimate from the bucket counts
-  /// (0 when empty).
-  double Quantile(double q) const;
-  /// Exemplar of the highest-occupied bucket at or above quantile `q`.
-  TraceContext ExemplarAt(double q) const;
-};
-
 /// Thread-safe end-to-end pipeline tracer. One instance serves the whole
 /// process (all shards, the durability layer, the shipper); stage
 /// recording is lock-free, the trace table is mutex-guarded and bounded.
@@ -158,8 +142,8 @@ class RequestTracer {
                                          0.25,   0.5,   1.0,    2.5,
                                          5.0,    10.0};
     /// When supplied, the tracer eagerly registers the `pipeline.*`
-    /// family and mirrors stage observations into
-    /// `pipeline.stage_seconds.<stage>` histograms.
+    /// family, and the all-tenant stage histograms are the registry's
+    /// `pipeline.stage_seconds.<stage>` themselves.
     MetricsRegistry* metrics = nullptr;
     /// Called (outside the tracer lock) whenever a trace completes, with
     /// its tenant and enqueue-to-applied latency — the SLO engine's
@@ -237,9 +221,6 @@ class RequestTracer {
   std::vector<TraceRecord> Completed(size_t max_traces,
                                      const std::string& tenant = "");
 
-  /// Per-(tenant, stage) aggregates; tenant "" is the all-tenant roll-up.
-  std::map<std::string, std::vector<StageAggregate>> Aggregates();
-
   /// `/tracez` JSON: `?trace=ID` for one trace, `?tenant=T&n=K` for a
   /// tenant's recent completed traces, otherwise the aggregate stage
   /// waterfall plus recent traces.
@@ -283,8 +264,8 @@ class RequestTracer {
   void EvictLocked();
   void ObserveStageLocked(const std::string& tenant, Stage stage,
                           double duration, const TraceContext& id);
-  std::vector<StageAggregate>& TenantAggregatesLocked(
-      const std::string& tenant);
+  using StageHistograms = std::array<Histogram*, kNumStages>;
+  StageHistograms& TenantHistogramsLocked(const std::string& tenant);
 
   Options options_;
   std::atomic<uint64_t> mint_state_;
@@ -304,7 +285,10 @@ class RequestTracer {
   std::map<std::pair<uint64_t, uint64_t>, std::vector<TraceContext>>
       shipments_;
   std::deque<std::pair<uint64_t, uint64_t>> shipment_order_;
-  std::map<std::string, std::vector<StageAggregate>> aggregates_;
+  // Per-tenant stage histograms; "" is the all-tenant row, which with a
+  // registry points at the registered pipeline.stage_seconds.<stage>.
+  std::map<std::string, StageHistograms> stage_histograms_;
+  std::deque<Histogram> owned_histograms_;  // every non-registry row
   uint64_t traces_started_ = 0;
   uint64_t traces_completed_ = 0;
 
@@ -315,7 +299,6 @@ class RequestTracer {
   Counter* events_counter_ = nullptr;
   Counter* events_dropped_counter_ = nullptr;
   Gauge* open_gauge_ = nullptr;
-  Histogram* stage_histograms_[kNumStages] = {};
   Histogram* e2e_histogram_ = nullptr;
 };
 

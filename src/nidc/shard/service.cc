@@ -9,10 +9,6 @@ namespace nidc::shard {
 
 namespace {
 
-// Bound on retained latency samples; beyond it the oldest are dropped
-// (the histogram keeps the full distribution either way).
-constexpr size_t kMaxLatencySamples = 1 << 20;
-
 const std::vector<double> kLatencyBucketsSeconds = {
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1,    0.25,  0.5,    1.0,   2.5,  5.0,   10.0};
@@ -104,16 +100,17 @@ Status ShardService::Init() {
   // `nidc_metrics_check --shard-snapshot`) sees every shard.* series
   // from boot, not only after the first rejection or failure.
   metrics_->GetCounter("shard.ingest.docs");
-  metrics_->GetCounter("shard.ingest.batches");
-  metrics_->GetCounter("shard.ingest.rejected_batches");
-  metrics_->GetCounter("shard.ingest.failed");
-  metrics_->GetCounter("shard.ingest.dropped");
+  ingest_batches_ = metrics_->GetCounter("shard.ingest.batches");
+  ingest_rejected_ = metrics_->GetCounter("shard.ingest.rejected_batches");
+  ingest_failed_ = metrics_->GetCounter("shard.ingest.failed");
+  ingest_dropped_ = metrics_->GetCounter("shard.ingest.dropped");
   metrics_->GetCounter("shard.steps");
-  metrics_->GetHistogram("shard.ingest.latency_seconds",
-                         kLatencyBucketsSeconds);
+  ingest_latency_ = metrics_->GetHistogram("shard.ingest.latency_seconds",
+                                           kLatencyBucketsSeconds);
   for (size_t i = 0; i < num_shards; ++i) {
-    metrics_->GetGauge("shard.queue." + std::to_string(i) + ".depth")
-        ->Set(0.0);
+    shards_[i]->depth_gauge =
+        metrics_->GetGauge("shard.queue." + std::to_string(i) + ".depth");
+    shards_[i]->depth_gauge->Set(0.0);
   }
 
   for (size_t i = 0; i < num_shards; ++i) {
@@ -156,8 +153,6 @@ double ShardService::NowSeconds() const {
 
 void ShardService::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  obs::Gauge* depth_gauge = metrics_->GetGauge(
-      "shard.queue." + std::to_string(shard_index) + ".depth");
   for (;;) {
     Job job;
     {
@@ -169,7 +164,7 @@ void ShardService::WorkerLoop(size_t shard_index) {
       job = std::move(shard.queue.front());
       shard.queue.pop_front();
       if (job.is_ingest) --shard.ingest_pending;
-      depth_gauge->Set(static_cast<double>(shard.ingest_pending));
+      shard.depth_gauge->Set(static_cast<double>(shard.ingest_pending));
     }
     if (job.is_ingest) {
       if (options_.tracer != nullptr && job.trace.valid()) {
@@ -188,29 +183,16 @@ void ShardService::RunIngestJob(size_t shard_index, Job& job) {
                       ? Status::NotFound("tenant evicted before ingest ran")
                       : tenant->Ingest(job.docs, job.trace);
   if (!status.ok()) {
-    metrics_->GetCounter(tenant == nullptr ? "shard.ingest.dropped"
-                                           : "shard.ingest.failed")
-        ->Increment();
+    (tenant == nullptr ? ingest_dropped_ : ingest_failed_)->Increment();
   }
   const double done = NowSeconds();
-  const double latency = done - job.enqueued_seconds;
-  metrics_
-      ->GetHistogram("shard.ingest.latency_seconds", kLatencyBucketsSeconds)
-      ->Observe(latency);
-  {
-    Shard& shard = *shards_[shard_index];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.completion_seconds.push_back(done);
-    while (shard.completion_seconds.size() > kMaxCompletionSamples) {
-      shard.completion_seconds.pop_front();
-    }
+  ingest_latency_->Observe(done - job.enqueued_seconds);
+  Shard& shard = *shards_[shard_index];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  shard.completion_seconds.push_back(done);
+  while (shard.completion_seconds.size() > kMaxCompletionSamples) {
+    shard.completion_seconds.pop_front();
   }
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  if (latency_samples_.size() >= kMaxLatencySamples) {
-    latency_samples_.erase(latency_samples_.begin(),
-                           latency_samples_.begin() + kMaxLatencySamples / 2);
-  }
-  latency_samples_.push_back(latency);
 }
 
 int ShardService::RetryAfterHintSeconds(size_t shard_index) const {
@@ -352,7 +334,7 @@ Status ShardService::EnqueueIngest(const std::string& name,
       return Status::FailedPrecondition("service is stopping");
     }
     if (shard.ingest_pending >= options_.queue_capacity) {
-      metrics_->GetCounter("shard.ingest.rejected_batches")->Increment();
+      ingest_rejected_->Increment();
       return Status::OutOfRange(
           "shard " + std::to_string(shard_index) + " queue is full (" +
           std::to_string(shard.ingest_pending) + " pending batches)");
@@ -365,10 +347,8 @@ Status ShardService::EnqueueIngest(const std::string& name,
     job.trace = trace;
     shard.queue.push_back(std::move(job));
     ++shard.ingest_pending;
-    metrics_->GetGauge("shard.queue." + std::to_string(shard_index) +
-                       ".depth")
-        ->Set(static_cast<double>(shard.ingest_pending));
-    metrics_->GetCounter("shard.ingest.batches")->Increment();
+    shard.depth_gauge->Set(static_cast<double>(shard.ingest_pending));
+    ingest_batches_->Increment();
     shard.cv.notify_one();
   }
   if (options_.tracer != nullptr && trace.valid()) {
@@ -474,13 +454,6 @@ size_t ShardService::TotalQueueDepth() const {
   size_t total = 0;
   for (size_t i = 0; i < shards_.size(); ++i) total += QueueDepth(i);
   return total;
-}
-
-std::vector<double> ShardService::TakeLatencySamples() {
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  std::vector<double> samples;
-  samples.swap(latency_samples_);
-  return samples;
 }
 
 void ShardService::Stop() {

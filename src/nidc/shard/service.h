@@ -133,10 +133,6 @@ class ShardService {
   size_t QueueDepth(size_t shard) const;
   size_t TotalQueueDepth() const;
 
-  /// Enqueue-to-completion latencies (seconds) of ingest batches since
-  /// the last call — the capacity benchmark's p50/p99 source.
-  std::vector<double> TakeLatencySamples();
-
   /// Suggested Retry-After (whole seconds, clamped to [1, 30]) for a 429
   /// on `shard`: pending batches divided by the shard's recent drain
   /// rate. Falls back to 1 before enough completions have been observed.
@@ -173,6 +169,7 @@ class ShardService {
     /// Completion timestamps of recent ingest jobs (bounded), the 429
     /// Retry-After drain-rate estimate.
     std::deque<double> completion_seconds;
+    obs::Gauge* depth_gauge = nullptr;  // shard.queue.<i>.depth
     bool stopping = false;
     std::thread worker;
   };
@@ -202,8 +199,13 @@ class ShardService {
   mutable std::mutex mu_;  // tenant map
   std::unordered_map<std::string, Entry> tenants_;
 
-  std::mutex samples_mu_;
-  std::vector<double> latency_samples_;
+  // Per-job ingest instruments, resolved once in Init() so the workers
+  // never take the registry lock.
+  obs::Histogram* ingest_latency_ = nullptr;
+  obs::Counter* ingest_failed_ = nullptr;
+  obs::Counter* ingest_dropped_ = nullptr;
+  obs::Counter* ingest_batches_ = nullptr;
+  obs::Counter* ingest_rejected_ = nullptr;
 
   bool stopped_ = false;
 };

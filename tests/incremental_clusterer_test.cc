@@ -1,12 +1,15 @@
 #include "nidc/core/incremental_clusterer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nidc/obs/metrics.h"
-#include "nidc/obs/trace.h"
+#include "nidc/obs/profiler.h"
 
 namespace nidc {
 namespace {
@@ -157,15 +160,19 @@ TEST_F(IncrementalClustererTest, StepPopulatesMetricsRegistry) {
 }
 
 TEST_F(IncrementalClustererTest, StepRecordsTraceSpans) {
-  obs::Tracer tracer;
-  obs::ScopedTracerInstall install(&tracer);
+  obs::PhaseProfiler profiler;
+  obs::ScopedProfilerInstall install(&profiler);
   IncrementalClusterer ic(&corpus_, Params(), Options());
   ASSERT_TRUE(ic.Step({0, 1, 2, 3}, 1.0).ok());
-  const std::string rendered = tracer.Render();
-  EXPECT_NE(rendered.find("clusterer.step"), std::string::npos);
-  EXPECT_NE(rendered.find("step.stats_update"), std::string::npos);
-  EXPECT_NE(rendered.find("kmeans.run"), std::string::npos);
-  EXPECT_NE(rendered.find("kmeans.sweep"), std::string::npos);
+  std::vector<std::string> paths;
+  for (const auto& phase : profiler.Snapshot()) paths.push_back(phase.path);
+  const auto has = [&](const std::string& path) {
+    return std::find(paths.begin(), paths.end(), path) != paths.end();
+  };
+  EXPECT_TRUE(has("clusterer.step"));
+  EXPECT_TRUE(has("clusterer.step;step.stats_update"));
+  EXPECT_TRUE(has("clusterer.step;kmeans.run"));
+  EXPECT_TRUE(has("clusterer.step;kmeans.run;kmeans.sweep"));
 }
 
 TEST_F(IncrementalClustererTest, MembershipReseedKeepsStableClusters) {

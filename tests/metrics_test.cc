@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "nidc/util/thread_pool.h"
@@ -48,6 +50,59 @@ TEST(HistogramTest, NegativeAndBelowFirstBound) {
   h.Observe(0.0);
   EXPECT_EQ(h.CumulativeCount(0), 2u);
   EXPECT_EQ(h.TotalCount(), 2u);
+}
+
+TEST(HistogramTest, EmptyQuantileIsZeroAndHasNoExemplar) {
+  Histogram h({1.0, 2.0, 4.0});
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 0.0);
+  EXPECT_FALSE(h.ExemplarAt(0.99).valid());
+}
+
+TEST(HistogramTest, QuantileInterpolatesInsideTheBucket) {
+  Histogram h({1.0, 2.0, 4.0});
+  h.Observe(0.5);
+  h.Observe(0.5);
+  h.Observe(1.5);
+  h.Observe(1.5);
+  // 4 observations, 2 in (0, 1] and 2 in (1, 2]: the target rank q * 4
+  // is placed linearly inside the bucket it falls in.
+  EXPECT_DOUBLE_EQ(h.Quantile(0.25), 0.5);   // rank 1 of bucket [0, 1]
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.0);    // rank 2: top of bucket 0
+  EXPECT_DOUBLE_EQ(h.Quantile(0.75), 1.5);   // rank 3: mid of (1, 2]
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2.0);
+}
+
+TEST(HistogramTest, QuantileInOverflowReturnsTheLastBound) {
+  Histogram h({1.0, 2.0, 4.0});
+  h.Observe(0.5);
+  h.Observe(10.0);
+  h.Observe(10.0);
+  h.Observe(10.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 4.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.25), 1.0);
+}
+
+TEST(HistogramTest, ExemplarAtPicksTheSlowestOccupiedBucket) {
+  Histogram h({1.0, 2.0, 4.0});
+  for (int i = 0; i < 98; ++i) h.Observe(0.5, Exemplar{0, 1});
+  h.Observe(1.5, Exemplar{0, 2});
+  h.Observe(3.0, Exemplar{0, 3});
+  // p99 lands in (1, 2], but the slowest occupied bucket at or above it,
+  // (2, 4], carries the exemplar worth chasing.
+  EXPECT_EQ(h.ExemplarAt(0.99).lo, 3u);
+  // The last exemplar observed into a bucket wins.
+  h.Observe(3.5, Exemplar{7, 4});
+  EXPECT_EQ(h.ExemplarAt(0.99).hi, 7u);
+  EXPECT_EQ(h.ExemplarAt(0.99).lo, 4u);
+}
+
+TEST(HistogramTest, ExemplarAtFallsBackToFasterBuckets) {
+  Histogram h({1.0, 2.0, 4.0});
+  h.Observe(0.5, Exemplar{0, 9});
+  h.Observe(3.0);  // plain Observe records no exemplar
+  EXPECT_EQ(h.ExemplarAt(0.99).lo, 9u);
+  EXPECT_NEAR(h.Quantile(0.99), 3.96, 1e-12);  // rank 1.98 in (2, 4]
 }
 
 TEST(MetricsRegistryTest, GetReturnsSameInstrumentForSameName) {
@@ -128,6 +183,34 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsSumExactly) {
   // 200 residues, kItems/200 hits each).
   EXPECT_EQ(histogram->CumulativeCount(0), kItems / 200 * 101);
   EXPECT_EQ(histogram->CumulativeCount(1), kItems);
+}
+
+TEST(MetricsRegistryTest, SnapshotDuringObserveStaysConsistent) {
+  MetricsRegistry registry;
+  Histogram* histogram =
+      registry.GetHistogram("racy.latency", {1.0, 2.0, 4.0, 8.0});
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 200000; ++i) {
+      histogram->Observe(static_cast<double>(i % 10));  // overflow too
+    }
+    done.store(true);
+  });
+  size_t snapshots = 0;
+  while (!done.load() || snapshots == 0) {
+    for (const MetricSample& sample : registry.Snapshot()) {
+      uint64_t previous = 0;
+      for (const auto& [le, cumulative] : sample.buckets) {
+        ASSERT_GE(cumulative, previous) << "le=" << le;
+        previous = cumulative;
+      }
+      // The +Inf bucket is `count`: no finite bucket may exceed it.
+      ASSERT_LE(previous, sample.count);
+    }
+    ++snapshots;
+  }
+  writer.join();
+  EXPECT_EQ(histogram->TotalCount(), 200000u);
 }
 
 TEST(MetricsRegistryDeathTest, KindMismatchIsFatal) {

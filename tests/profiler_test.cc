@@ -7,7 +7,6 @@
 
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
-#include "nidc/obs/trace.h"
 
 namespace nidc::obs {
 namespace {
@@ -72,6 +71,36 @@ TEST(PhaseProfilerTest, SetStepRollsCurrentIntoLastStep) {
   profiler.SetStep(3);
   EXPECT_TRUE(profiler.LastStep().empty());
   EXPECT_EQ(profiler.Snapshot().size(), 1u);
+}
+
+TEST(PhaseProfilerTest, StepTreeJsonNestsTheCurrentStepByPath) {
+  PhaseProfiler profiler;
+  ScopedProfilerInstall install(&profiler);
+  { NIDC_SPAN("before"); }
+  // Only the current step's spans render: the previous step's roll away.
+  profiler.SetStep(1);
+  {
+    NIDC_SPAN("step");
+    { NIDC_SPAN("sweep"); }
+    { NIDC_SPAN("refresh"); }
+    { NIDC_SPAN("sweep"); }
+  }
+  const Result<JsonValue> parsed = ParseJson(profiler.RenderStepTreeJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Find("name")->string_value, "(root)");
+  const auto& children = parsed->Find("children")->array;
+  ASSERT_EQ(children.size(), 1u);
+  EXPECT_EQ(children[0].Find("name")->string_value, "step");
+  EXPECT_DOUBLE_EQ(children[0].Find("count")->number, 1.0);
+  EXPECT_GE(children[0].Find("seconds")->number, 0.0);
+  // Repeated spans aggregate into one node; siblings are in path order.
+  const auto& grandchildren = children[0].Find("children")->array;
+  ASSERT_EQ(grandchildren.size(), 2u);
+  EXPECT_EQ(grandchildren[0].Find("name")->string_value, "refresh");
+  EXPECT_DOUBLE_EQ(grandchildren[0].Find("count")->number, 1.0);
+  EXPECT_EQ(grandchildren[1].Find("name")->string_value, "sweep");
+  EXPECT_DOUBLE_EQ(grandchildren[1].Find("count")->number, 2.0);
+  EXPECT_TRUE(grandchildren[1].Find("children")->array.empty());
 }
 
 TEST(PhaseProfilerTest, CollapsedSelfTimeExcludesChildren) {

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
 
 namespace nidc::obs {
@@ -198,6 +199,19 @@ TEST(RequestTracerTest, MarkResumedFlagsTheRecord) {
   EXPECT_TRUE(record.resumed);
 }
 
+// The waterfall row of `stage` under `tenant` ("*" = all tenants), or null.
+const JsonValue* WaterfallRow(const JsonValue& waterfall,
+                              const std::string& tenant,
+                              const std::string& stage) {
+  for (const JsonValue& entry : waterfall.Find("waterfall")->array) {
+    if (entry.Find("tenant")->string_value != tenant) continue;
+    for (const JsonValue& row : entry.Find("stages")->array) {
+      if (row.Find("stage")->string_value == stage) return &row;
+    }
+  }
+  return nullptr;
+}
+
 TEST(RequestTracerTest, AggregatesCarryExemplars) {
   RequestTracer tracer;
   const TraceContext id = tracer.Mint();
@@ -206,15 +220,42 @@ TEST(RequestTracerTest, AggregatesCarryExemplars) {
   tracer.RecordStage(id, Stage::kDequeue, 1.1);
   tracer.RecordStage(id, Stage::kStep, 1.2);
 
-  auto aggregates = tracer.Aggregates();
-  // Tenant "alpha" plus the all-tenant roll-up "".
-  ASSERT_TRUE(aggregates.count("alpha"));
-  ASSERT_TRUE(aggregates.count(""));
-  const StageAggregate& dequeue =
-      aggregates["alpha"][static_cast<size_t>(Stage::kDequeue)];
-  EXPECT_EQ(dequeue.total, 1u);
-  EXPECT_GT(dequeue.Quantile(0.5), 0.0);
-  EXPECT_EQ(dequeue.ExemplarAt(0.99), id);
+  const Result<JsonValue> parsed = ParseJson(tracer.RenderWaterfallJson());
+  ASSERT_TRUE(parsed.ok());
+  // Tenant "alpha" plus the all-tenant roll-up "*".
+  const JsonValue* dequeue = WaterfallRow(*parsed, "alpha", "dequeue");
+  ASSERT_NE(dequeue, nullptr);
+  ASSERT_NE(WaterfallRow(*parsed, "*", "dequeue"), nullptr);
+  EXPECT_DOUBLE_EQ(dequeue->Find("count")->number, 1.0);
+  EXPECT_GT(dequeue->Find("p50_ms")->number, 0.0);
+  EXPECT_EQ(dequeue->Find("p99_exemplar")->string_value, id.ToHex());
+}
+
+TEST(RequestTracerTest, AllTenantRowIsTheRegistryStageHistogram) {
+  MetricsRegistry registry;
+  RequestTracer::Options options;
+  options.metrics = &registry;
+  RequestTracer tracer(std::move(options));
+  for (int i = 0; i < 3; ++i) {
+    const TraceContext id = tracer.Mint();
+    tracer.Begin(id, i < 2 ? "alpha" : "bravo");
+    tracer.RecordStage(id, Stage::kEnqueue, 1.0 + i);
+    tracer.RecordStage(id, Stage::kDequeue, 1.25 + i);
+    tracer.RecordStage(id, Stage::kStep, 1.5 + i);
+  }
+  // The waterfall's "*" row counts exactly what /metrics exports.
+  const Result<JsonValue> parsed = ParseJson(tracer.RenderWaterfallJson());
+  ASSERT_TRUE(parsed.ok());
+  for (const std::string stage : {"dequeue", "step"}) {
+    const JsonValue* row = WaterfallRow(*parsed, "*", stage);
+    ASSERT_NE(row, nullptr) << stage;
+    const Histogram* exported =
+        registry.GetHistogram("pipeline.stage_seconds." + stage, {1.0});
+    EXPECT_EQ(exported->TotalCount(), 3u) << stage;
+    EXPECT_DOUBLE_EQ(row->Find("count")->number, 3.0) << stage;
+    EXPECT_NE(row->Find("p99_exemplar"), nullptr) << stage;
+  }
+  EXPECT_EQ(WaterfallRow(*parsed, "*", "enqueue"), nullptr);
 }
 
 TEST(RequestTracerTest, CompletedFiltersByTenant) {
@@ -308,7 +349,7 @@ TEST(RequestTracerTest, ConcurrentStampsSurviveTsan) {
   // A concurrent reader folds while the writers stamp.
   std::thread reader([&] {
     for (int i = 0; i < 50; ++i) {
-      tracer.Aggregates();
+      tracer.RenderWaterfallJson();
     }
   });
   for (auto& writer : writers) writer.join();

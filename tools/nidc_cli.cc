@@ -18,7 +18,8 @@
 //       iteration/outlier/expiry counts, registry snapshot); --metrics-csv
 //       writes the scalar metrics as a per-step CSV time series;
 //       --metrics-prom dumps the final registry in Prometheus text format;
-//       --trace prints the span tree of every step.
+//       --trace adds each step's span tree (from the phase profiler) to
+//       its --metrics-out record as the `trace` field.
 //       --checkpoint-dir enables durable streaming (see docs/durability.md):
 //       every step is write-ahead logged, a snapshot generation rotates
 //       every --checkpoint-every steps, and a rerun with the same directory
@@ -129,7 +130,6 @@
 #include "nidc/obs/reqtrace.h"
 #include "nidc/obs/slo.h"
 #include "nidc/obs/timeseries.h"
-#include "nidc/obs/trace.h"
 #include "nidc/repl/replica.h"
 #include "nidc/repl/shipper.h"
 #include "nidc/repl/tcp.h"
@@ -319,11 +319,11 @@ int RunCluster(const Args& args) {
 
 // One JSONL telemetry record: the step digest, the G trajectory of the
 // clustering pass, the full metrics snapshot, and (when tracing) the
-// span tree.
+// step's span tree from the phase profiler.
 std::string RenderStepRecord(uint64_t step_index, double tau,
                              const StepResult& step,
                              const obs::MetricsRegistry& registry,
-                             const obs::Tracer* tracer) {
+                             const obs::PhaseProfiler* profiler) {
   obs::JsonObjectBuilder record;
   record.Add("step", step_index)
       .Add("tau", tau)
@@ -344,8 +344,8 @@ std::string RenderStepRecord(uint64_t step_index, double tau,
   g_history += "]";
   record.AddRaw("g_history", g_history);
   record.AddRaw("metrics", obs::RenderMetricsJson(registry.Snapshot()));
-  if (tracer != nullptr) {
-    record.AddRaw("trace", obs::RenderTraceJson(tracer->root()));
+  if (profiler != nullptr) {
+    record.AddRaw("trace", profiler->RenderStepTreeJson());
   }
   return record.Render();
 }
@@ -432,11 +432,9 @@ int RunStream(const Args& args) {
     jsonl = std::make_unique<obs::JsonlWriter>(metrics_out);
   }
   obs::MetricsCsvSeries csv_series;
-  obs::Tracer tracer;
-  obs::ScopedTracerInstall install_tracer(tracing ? &tracer : nullptr);
-  // The continuous profiler listens to the same NIDC_SPAN sites as the
-  // tracer, always-on whenever telemetry is (the overhead budget covers
-  // it — see bench_sweep_hotpath).
+  // The continuous profiler records every NIDC_SPAN site, always-on
+  // whenever telemetry is (the overhead budget covers it — see
+  // bench_sweep_hotpath); --trace renders its per-step tree.
   obs::ScopedProfilerInstall install_profiler(profiler.get());
 
   // The introspection server (--serve) reads the board the step loop
@@ -577,7 +575,6 @@ int RunStream(const Args& args) {
   DocumentStream stream(corpus->get(), resume_from, to, step);
   uint64_t step_index = 0;
   while (auto batch = stream.Next()) {
-    if (tracing) tracer.Reset();
     if (profiler != nullptr) profiler->SetStep(step_index);
     // One request trace per step batch: the stream loop is both the front
     // door (ingest) and the batcher (window close); the layers below stamp
@@ -648,13 +645,10 @@ int RunStream(const Args& args) {
         board.RecordReplication(repl_status);
       }
     }
-    if (tracing) {
-      std::printf("%s", tracer.Render().c_str());
-    }
     if (jsonl != nullptr) {
       const Status appended = jsonl->Append(
           RenderStepRecord(step_index, batch->end, *result, registry,
-                           tracing ? &tracer : nullptr));
+                           tracing ? profiler.get() : nullptr));
       if (!appended.ok()) {
         std::fprintf(stderr, "%s\n", appended.ToString().c_str());
         return 1;

@@ -16,7 +16,9 @@
 // request-trace pipeline, SLO engine). Every metric name must also belong to a known family
 // prefix — a typo'd or undocumented family fails validation instead of
 // silently shipping — and the kernel.dispatch.<name> gauge must be present
-// and name a real scoring kernel (scalar / avx2 / avx512).
+// and name a real scoring kernel (scalar / avx2 / avx512). In both forms,
+// every histogram's cumulative buckets must never decrease nor exceed its
+// count.
 // --require-repl additionally requires the repl.* replication family
 // (a stream run with a WalShipper attached — see docs/replication.md).
 // Exit 0 when every record passes; 1 with a per-line diagnosis otherwise.
@@ -172,6 +174,43 @@ constexpr const char* kReplKeys[] = {
 // renamed or misspelled kernel leaked into telemetry.
 constexpr const char* kKernelNames[] = {"scalar", "avx2", "avx512"};
 
+// Checks one exported metric: its name must carry a known family prefix,
+// and a histogram (`{"count","sum","buckets":[{"le","count"},...]}`) must
+// have cumulative bucket counts that never decrease nor exceed `count` —
+// a snapshot torn by a concurrent Observe shows up as exactly that.
+void CheckMetric(const std::string& name, const obs::JsonValue& value,
+                 std::vector<std::string>* problems) {
+  bool known = false;
+  for (const char* prefix : kKnownPrefixes) {
+    if (name.compare(0, std::strlen(prefix), prefix) == 0) {
+      known = true;
+      break;
+    }
+  }
+  if (!known) {
+    problems->push_back("metric '" + name + "' has no known family prefix");
+  }
+  const obs::JsonValue* buckets =
+      value.is_object() ? value.Find("buckets") : nullptr;
+  if (buckets == nullptr || !buckets->is_array()) return;
+  const obs::JsonValue* count = value.Find("count");
+  double previous = 0.0;
+  for (const obs::JsonValue& bucket : buckets->array) {
+    const obs::JsonValue* cumulative =
+        bucket.is_object() ? bucket.Find("count") : nullptr;
+    if (cumulative == nullptr || cumulative->number < previous) {
+      problems->push_back("histogram '" + name +
+                          "' has decreasing or malformed buckets");
+      return;
+    }
+    previous = cumulative->number;
+  }
+  if (count == nullptr || previous > count->number) {
+    problems->push_back("histogram '" + name +
+                        "' has a bucket above its count");
+  }
+}
+
 // Appends the problems of one record to `problems` (empty = record ok).
 void CheckRecord(const obs::JsonValue& record, bool require_trace,
                  bool require_repl, std::vector<std::string>* problems) {
@@ -209,17 +248,7 @@ void CheckRecord(const obs::JsonValue& record, bool require_trace,
     }
     size_t dispatch_gauges = 0;
     for (const auto& [name, value] : metrics->object) {
-      bool known = false;
-      for (const char* prefix : kKnownPrefixes) {
-        if (name.compare(0, std::strlen(prefix), prefix) == 0) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        problems->push_back("metric '" + name +
-                            "' has no known family prefix");
-      }
+      CheckMetric(name, value, problems);
       constexpr const char* kDispatchPrefix = "kernel.dispatch.";
       if (name.compare(0, std::strlen(kDispatchPrefix), kDispatchPrefix) ==
           0) {
@@ -275,17 +304,7 @@ int CheckShardSnapshot(const char* path) {
       }
     }
     for (const auto& [name, value] : parsed->object) {
-      bool known = false;
-      for (const char* prefix : kKnownPrefixes) {
-        if (name.compare(0, std::strlen(prefix), prefix) == 0) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        problems.push_back("metric '" + name +
-                           "' has no known family prefix");
-      }
+      CheckMetric(name, value, &problems);
     }
   }
   if (!problems.empty()) {
