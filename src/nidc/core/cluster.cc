@@ -14,14 +14,18 @@ void Cluster::Add(DocId id, const SimilarityContext& ctx) {
   cr_self_ += 2.0 * representative_.Dot(psi) + self;
   ss_ += self;
   representative_.AddScaled(psi, 1.0);
+  AttachMember(id);
+}
+
+void Cluster::AttachMember(DocId id) {
+  assert(!Contains(id));
   member_pos_.emplace(id, members_.size());
   members_.push_back(id);
   has_last_leaver_ = false;
 }
 
 void Cluster::Remove(DocId id, const SimilarityContext& ctx) {
-  auto it = member_pos_.find(id);
-  assert(it != member_pos_.end());
+  assert(Contains(id));
   const SparseVector& psi = ctx.Psi(id);
   const double self = ctx.SelfSim(id);
   // Deletion counterpart: with c' = c − ψ_d,
@@ -29,6 +33,12 @@ void Cluster::Remove(DocId id, const SimilarityContext& ctx) {
   cr_self_ += -2.0 * representative_.Dot(psi) + self;
   ss_ -= self;
   representative_.AddScaled(psi, -1.0);
+  DetachMember(id);
+}
+
+void Cluster::DetachMember(DocId id) {
+  auto it = member_pos_.find(id);
+  assert(it != member_pos_.end());
   // Swap-and-pop so removal costs O(1), not a linear member scan.
   const size_t pos = it->second;
   member_pos_.erase(it);
@@ -109,14 +119,41 @@ void Cluster::MergeFrom(Cluster* other) {
   other->Clear();
 }
 
-void Cluster::Refresh(const SimilarityContext& ctx) {
-  SparseVector rep;
+void Cluster::Refresh(const SimilarityContext& ctx, RefreshScratch* scratch,
+                      std::vector<TermPosting>* postings) {
+  std::vector<double>& weight = scratch->weight;
+  std::vector<uint32_t>& refs = scratch->refs;
+  std::vector<uint32_t>& touched = scratch->touched;
+  if (refs.size() < ctx.num_local_terms()) {
+    weight.resize(ctx.num_local_terms());
+    refs.resize(ctx.num_local_terms(), 0);
+  }
+  touched.clear();
+  if (postings != nullptr) postings->clear();
   double ss = 0.0;
   for (DocId id : members_) {
-    rep.AddScaled(ctx.Psi(id), 1.0);
-    ss += ctx.SelfSim(id);
+    const SimilarityContext::Slot slot = ctx.SlotOf(id);
+    ss += ctx.SelfSimAt(slot);
+    const SimilarityContext::Row row = ctx.RowAt(slot);
+    for (size_t i = 0; i < row.size; ++i) {
+      const uint32_t t = row.terms[i];
+      if (refs[t]++ == 0) {
+        weight[t] = row.values[i];
+        touched.push_back(t);
+      } else {
+        weight[t] += row.values[i];
+      }
+    }
   }
-  representative_ = std::move(rep);
+  std::vector<SparseVector::Entry> entries;
+  entries.reserve(touched.size());
+  for (uint32_t t : touched) {
+    entries.push_back({ctx.GlobalTerm(t), weight[t]});
+    if (postings != nullptr) postings->push_back({t, refs[t], weight[t]});
+    refs[t] = 0;
+  }
+  // Global ids are unique per cluster, so FromEntries only sorts.
+  representative_ = SparseVector::FromEntries(std::move(entries));
   ss_ = ss;
   cr_self_ = representative_.SquaredNorm();
 }

@@ -38,6 +38,13 @@ class Cluster {
   /// removal.
   void Remove(DocId id, const SimilarityContext& ctx);
 
+  /// The membership halves of Add and Remove: the member list, position
+  /// map and identity-continuity state change exactly as there, but the
+  /// representative, cr_self and ss are left stale. For seeding, which is
+  /// always followed by Refresh.
+  void AttachMember(DocId id);
+  void DetachMember(DocId id);
+
   /// avg_sim(C_p) per Eq. 24; defined as 0 for |C| <= 1.
   double AvgSim() const;
 
@@ -131,9 +138,33 @@ class Cluster {
   /// `other` is left empty.
   void MergeFrom(Cluster* other);
 
+  /// One coefficient of the representative keyed by the context's local
+  /// term id, with the number of members carrying the term — a
+  /// FlatRepIndex posting of this cluster.
+  struct TermPosting {
+    uint32_t term;
+    uint32_t refs;
+    double weight;
+  };
+
+  /// Dense Refresh scratch indexed by local term id. Reusable across
+  /// clusters and calls (every `refs` slot is back to 0 between calls), but
+  /// not shared between concurrent refreshes.
+  struct RefreshScratch {
+    std::vector<double> weight;
+    std::vector<uint32_t> refs;
+    std::vector<uint32_t> touched;  // local terms in first-touch order
+  };
+
   /// Recomputes representative, cr_self and ss exactly from the members,
-  /// clearing accumulated float drift. O(Σ |ψ_d|).
-  void Refresh(const SimilarityContext& ctx);
+  /// clearing accumulated float drift. One pass over the members' CSR rows
+  /// in member order: a term's first occurrence assigns its coefficient and
+  /// later ones add to it, the addition sequence of folding ψ_d into an
+  /// empty vector member by member, so the result is bit-identical to that
+  /// fold. O(Σ |ψ_d| + u log u) for u distinct terms. A non-null
+  /// `postings` is overwritten with the cluster's (term, refs, weight) list.
+  void Refresh(const SimilarityContext& ctx, RefreshScratch* scratch,
+               std::vector<TermPosting>* postings = nullptr);
 
   /// Drops all members and zeroes the cached statistics.
   void Clear();

@@ -1,5 +1,7 @@
 #include "nidc/core/cluster_set.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 
 #include "nidc/util/thread_pool.h"
@@ -7,6 +9,12 @@
 namespace nidc {
 
 void ClusterSet::Assign(DocId id, int p, const SimilarityContext& ctx) {
+  Move(id, p, &ctx);
+}
+
+void ClusterSet::Seed(DocId id, int p) { Move(id, p, nullptr); }
+
+void ClusterSet::Move(DocId id, int p, const SimilarityContext* ctx) {
   assert(p == kUnassigned ||
          (p >= 0 && static_cast<size_t>(p) < clusters_.size()));
   if (id >= assignment_.size()) {
@@ -14,10 +22,16 @@ void ClusterSet::Assign(DocId id, int p, const SimilarityContext& ctx) {
   }
   const int current = assignment_[id];
   if (current == p) return;
+  const bool postings = ctx != nullptr && scoring_ == ClusterScoring::kSlotted;
   if (current != kUnassigned) {
-    clusters_[static_cast<size_t>(current)].Remove(id, ctx);
-    if (scoring_ == ClusterScoring::kSlotted) {
-      flat_index_.ApplyRemove(ctx, ctx.SlotOf(id),
+    Cluster& source = clusters_[static_cast<size_t>(current)];
+    if (ctx == nullptr) {
+      source.DetachMember(id);
+    } else {
+      source.Remove(id, *ctx);
+    }
+    if (postings) {
+      flat_index_.ApplyRemove(*ctx, ctx->SlotOf(id),
                               static_cast<size_t>(current));
     }
     assignment_[id] = kUnassigned;
@@ -28,9 +42,13 @@ void ClusterSet::Assign(DocId id, int p, const SimilarityContext& ctx) {
     if (target.empty() && !target.ReseedContinuesIdentity(id)) {
       target.set_id(next_id_++);
     }
-    target.Add(id, ctx);
-    if (scoring_ == ClusterScoring::kSlotted) {
-      flat_index_.ApplyAdd(ctx, ctx.SlotOf(id), static_cast<size_t>(p));
+    if (ctx == nullptr) {
+      target.AttachMember(id);
+    } else {
+      target.Add(id, *ctx);
+    }
+    if (postings) {
+      flat_index_.ApplyAdd(*ctx, ctx->SlotOf(id), static_cast<size_t>(p));
     }
     assignment_[id] = p;
     ++total_assigned_;
@@ -57,13 +75,6 @@ size_t ClusterSet::InstallIds(const std::vector<uint64_t>& seed_ids,
   return fresh;
 }
 
-std::vector<uint64_t> ClusterSet::cluster_ids() const {
-  std::vector<uint64_t> ids;
-  ids.reserve(clusters_.size());
-  for (const Cluster& c : clusters_) ids.push_back(c.id());
-  return ids;
-}
-
 void ClusterSet::ReplayStay(DocId id, size_t p, double t_attached,
                             double t_detached, const SimilarityContext& ctx) {
   assert(ClusterOf(id) == static_cast<int>(p));
@@ -74,24 +85,29 @@ void ClusterSet::ReplayStay(DocId id, size_t p, double t_attached,
 }
 
 void ClusterSet::RefreshAll(const SimilarityContext& ctx, ThreadPool* pool) {
-  if (pool != nullptr && pool->num_threads() > 1 && clusters_.size() > 1) {
-    // Each Cluster::Refresh reads only the context and its own members and
-    // writes only its own caches — independent across clusters, so lanes
-    // produce the serial results bit-for-bit.
-    pool->ParallelFor(clusters_.size(), /*grain=*/1,
-                      [&](size_t begin, size_t end) {
-                        for (size_t p = begin; p < end; ++p) {
-                          clusters_[p].Refresh(ctx);
-                        }
-                      });
+  const size_t k = clusters_.size();
+  const bool slotted = scoring_ == ClusterScoring::kSlotted;
+  if (slotted) postings_.resize(k);
+  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
+  const size_t lanes = std::max<size_t>(1, std::min(threads, k));
+  if (scratch_.size() < lanes) scratch_.resize(lanes);
+  // Each lane owns one scratch and pulls clusters off a shared cursor. A
+  // Refresh reads only the context and its own members and writes only its
+  // own caches and posting list, so which lane runs it changes nothing.
+  std::atomic<size_t> next{0};
+  const auto lane = [&](size_t l, size_t) {
+    for (size_t p = next++; p < k; p = next++) {
+      clusters_[p].Refresh(ctx, &scratch_[l],
+                           slotted ? &postings_[p] : nullptr);
+    }
+  };
+  if (lanes > 1) {
+    pool->ParallelFor(lanes, /*grain=*/1, lane);
   } else {
-    for (Cluster& c : clusters_) c.Refresh(ctx);
+    lane(0, 1);
   }
-  if (scoring_ == ClusterScoring::kSlotted) {
-    // One-pass CSR rebuild (same member-order accumulation); also clears
-    // the mid-sweep overlay and tombstones.
-    flat_index_.BuildFromClusters(ctx, clusters_, pool);
-  }
+  // Also clears the mid-sweep overlay and tombstones.
+  if (slotted) flat_index_.BuildFromPostings(ctx, postings_);
 }
 
 double ClusterSet::G() const {

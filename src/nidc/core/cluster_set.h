@@ -10,6 +10,8 @@
 
 namespace nidc {
 
+class ThreadPool;
+
 /// Cluster index within a ClusterSet; kUnassigned for outliers/unseen docs.
 inline constexpr int kUnassigned = -1;
 
@@ -53,6 +55,12 @@ class ClusterSet {
   /// detach/re-attach round trip keeps the identity).
   void Assign(DocId id, int p, const SimilarityContext& ctx);
 
+  /// The seeding form of Assign: membership, member order, the assignment
+  /// map and stable-id minting change exactly as Assign would change them,
+  /// but no statistics, representative or posting is maintained. RefreshAll
+  /// (and InstallIds) must run before the clusters are read.
+  void Seed(DocId id, int p);
+
   /// Installs stable cluster ids after the seeding phase: cluster `p`
   /// inherits `seed_ids[p]` when available, every other cluster gets a
   /// fresh id. The fresh-id counter starts at the larger of
@@ -64,9 +72,6 @@ class ClusterSet {
   /// Stable id of cluster `p` (Cluster::kNoClusterId before any
   /// population).
   uint64_t cluster_id(size_t p) const { return clusters_[p].id(); }
-
-  /// All K stable ids, index-aligned with the clusters.
-  std::vector<uint64_t> cluster_ids() const;
 
   /// The next fresh id the set would mint — the value a driver persists
   /// to keep ids monotone across RunExtendedKMeans calls.
@@ -81,11 +86,12 @@ class ClusterSet {
                   const SimilarityContext& ctx);
 
   /// Recomputes every cluster's cached statistics (and the posting index,
-  /// when scoring through one) from its members. With a pool of >= 2
-  /// threads, the per-cluster refreshes and the CSR rebuild's accumulation
-  /// phase run sharded across it; results are bit-identical to the serial
-  /// path for any thread count (clusters are independent, and the CSR fill
-  /// order is reproduced exactly).
+  /// when scoring through one) from its members: one Cluster::Refresh per
+  /// cluster yields its representative and its CSR postings together. With
+  /// a pool of >= 2 threads the clusters are spread over its lanes, each
+  /// with its own dense scratch; results are bit-identical for any thread
+  /// count (clusters are independent, and the CSR is filled serially in
+  /// cluster order).
   void RefreshAll(const SimilarityContext& ctx, ThreadPool* pool = nullptr);
 
   /// Clustering index G = Σ_p |C_p| · avg_sim(C_p) (Eq. 17).
@@ -100,12 +106,19 @@ class ClusterSet {
   const FlatRepIndex& flat_index() const { return flat_index_; }
 
  private:
+  // Assign when `ctx` is non-null, Seed otherwise.
+  void Move(DocId id, int p, const SimilarityContext* ctx);
+
   std::vector<Cluster> clusters_;
   std::vector<int> assignment_;  // DocId → cluster, kUnassigned gaps
   size_t total_assigned_ = 0;
   uint64_t next_id_ = 0;  // next fresh stable cluster id
   FlatRepIndex flat_index_;
   ClusterScoring scoring_ = ClusterScoring::kMerge;
+  // RefreshAll buffers, kept across calls: one dense scratch per pool lane
+  // and each cluster's posting list for the CSR build.
+  std::vector<Cluster::RefreshScratch> scratch_;
+  std::vector<std::vector<Cluster::TermPosting>> postings_;
 };
 
 }  // namespace nidc

@@ -665,7 +665,7 @@ std::vector<DocId> AssignAgainstFixedRepresentatives(
     if (decisions[i] == kUnassigned) {
       outliers.push_back(docs[i]);
     } else {
-      clusters->Assign(docs[i], decisions[i], ctx);
+      clusters->Seed(docs[i], decisions[i]);
     }
   }
   return outliers;
@@ -716,7 +716,7 @@ Result<ClusteringResult> RunExtendedKMeans(
         // §4.3: select K documents randomly, form initial K clusters.
         size_t next = 0;
         for (size_t p : rng.SampleWithoutReplacement(docs.size(), k)) {
-          clusters.Assign(docs[p], static_cast<int>(next++), ctx);
+          clusters.Seed(docs[p], static_cast<int>(next++));
         }
         break;
       }
@@ -727,9 +727,7 @@ Result<ClusteringResult> RunExtendedKMeans(
         }
         for (size_t p = 0; p < seeds->memberships.size(); ++p) {
           for (DocId id : seeds->memberships[p]) {
-            if (ctx.Contains(id)) {
-              clusters.Assign(id, static_cast<int>(p), ctx);
-            }
+            if (ctx.Contains(id)) clusters.Seed(id, static_cast<int>(p));
           }
         }
         break;
@@ -752,7 +750,7 @@ Result<ClusteringResult> RunExtendedKMeans(
       degenerate_restart = true;
       size_t next = 0;
       for (size_t p : rng.SampleWithoutReplacement(docs.size(), k)) {
-        clusters.Assign(docs[p], static_cast<int>(next++), ctx);
+        clusters.Seed(docs[p], static_cast<int>(next++));
       }
       outliers.clear();
     }

@@ -1,5 +1,6 @@
 #include "nidc/core/incremental_clusterer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <unordered_set>
@@ -85,6 +86,34 @@ void FeedHealthMonitor(obs::ClusterHealthMonitor* health, uint64_t step,
     observation.clusters.push_back(std::move(cluster));
   }
   health->ObserveStep(observation);
+}
+
+// RunExtendedKMeans rejects a seed with more clusters than its effective
+// k = min(k, |active|), and the previous step's clusters outnumber it once
+// the active set shrinks below them. Only then, seed just the clusters that
+// still have an active member, with their ids: the clusters are disjoint,
+// so at most |active| remain.
+void KeepClustersWithActiveMembers(const ForgettingModel& model,
+                                   const ClusteringResult& last,
+                                   KMeansSeeds* seeds) {
+  KMeansSeeds kept;
+  kept.mode = seeds->mode;
+  for (size_t p = 0; p < last.clusters.size(); ++p) {
+    const std::vector<DocId>& members = last.clusters[p];
+    if (std::none_of(members.begin(), members.end(),
+                     [&](DocId id) { return model.IsActive(id); })) {
+      continue;
+    }
+    if (kept.mode == SeedMode::kMembership) {
+      kept.memberships.push_back(members);
+    } else {
+      kept.representatives.push_back(last.representatives[p]);
+    }
+    if (p < last.cluster_ids.size()) {
+      kept.cluster_ids.push_back(last.cluster_ids[p]);
+    }
+  }
+  *seeds = std::move(kept);
 }
 
 }  // namespace
@@ -183,6 +212,11 @@ Result<StepResult> IncrementalClusterer::Step(
     // from where the previous run stopped, so ids stay globally monotone.
     s.cluster_ids = last_result_->cluster_ids;
     kmeans.first_cluster_id = last_result_->next_cluster_id;
+    if (s.mode != SeedMode::kRandom &&
+        last_result_->clusters.size() >
+            std::min(kmeans.k, model_.num_active())) {
+      KeepClustersWithActiveMembers(model_, *last_result_, &s);
+    }
     seeds = std::move(s);
   }
   Result<ClusteringResult> clustering =

@@ -5,7 +5,6 @@
 
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/util/logging.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc {
 
@@ -34,7 +33,6 @@ void CountScan(FlatRepIndex::ScanStats* stats, uint64_t entries,
 void FlatRepIndex::PrepareBuild(const SimilarityContext& ctx) {
   const size_t terms = ctx.num_local_terms();
   counts_.assign(terms, 0);
-  mark_.assign(terms, 0);
   has_delta_.assign(terms, 0);
   delta_.clear();
   stats_.dead_entries = 0;
@@ -59,166 +57,45 @@ void FlatRepIndex::QuantizeAll() {
   }
 }
 
-void FlatRepIndex::BuildFromClusters(const SimilarityContext& ctx,
-                                     const std::vector<Cluster>& clusters,
-                                     ThreadPool* pool) {
-  k_ = clusters.size();
+void FlatRepIndex::BuildFromPostings(
+    const SimilarityContext& ctx,
+    const std::vector<std::vector<Cluster::TermPosting>>& per_cluster) {
+  k_ = per_cluster.size();
   PrepareBuild(ctx);
-  if (pool != nullptr && pool->num_threads() > 1 && k_ > 1) {
-    BuildFromClustersParallel(ctx, clusters, pool);
-  } else {
-    BuildFromClustersSerial(ctx, clusters);
+  // Count, prefix-sum, then fill in ascending cluster order, so each term's
+  // entries are sorted by cluster id.
+  for (const auto& list : per_cluster) {
+    for (const Cluster::TermPosting& posting : list) ++counts_[posting.term];
   }
-  QuantizeAll();
-  stats_.live_entries = offsets_.empty() ? 0 : offsets_.back();
-}
-
-void FlatRepIndex::BuildFromClustersSerial(
-    const SimilarityContext& ctx, const std::vector<Cluster>& clusters) {
-  // Pass 1: count distinct (term, cluster) pairs per term. Clusters are
-  // visited in ascending order, so a per-term marker of the last touching
-  // cluster suffices to dedupe.
-  for (size_t p = 0; p < k_; ++p) {
-    const uint32_t tag = static_cast<uint32_t>(p) + 1;
-    for (DocId id : clusters[p].members()) {
-      const SimilarityContext::Row row = ctx.RowAt(ctx.SlotOf(id));
-      for (size_t i = 0; i < row.size; ++i) {
-        const uint32_t t = row.terms[i];
-        if (mark_[t] != tag) {
-          mark_[t] = tag;
-          ++counts_[t];
-        }
-      }
-    }
-  }
-
-  // Prefix-sum the counts into offsets; counts_ then becomes the per-term
-  // fill cursor.
   const size_t terms = counts_.size();
   offsets_.assign(terms + 1, 0);
   for (size_t t = 0; t < terms; ++t) offsets_[t + 1] = offsets_[t] + counts_[t];
   ResizeEntries(offsets_[terms]);
   for (size_t t = 0; t < terms; ++t) counts_[t] = offsets_[t];
-
-  // Pass 2: accumulate member ψ values per entry, in member order — the
-  // same addition sequence Cluster::Refresh replays into the
-  // representative, so weights match it bit-for-bit. Ascending cluster
-  // order means an existing entry for cluster p is always the last one
-  // filled for its term.
   for (size_t p = 0; p < k_; ++p) {
-    const uint32_t cluster = static_cast<uint32_t>(p);
-    for (DocId id : clusters[p].members()) {
-      const SimilarityContext::Row row = ctx.RowAt(ctx.SlotOf(id));
-      for (size_t i = 0; i < row.size; ++i) {
-        const uint32_t t = row.terms[i];
-        const size_t cursor = counts_[t];
-        if (cursor > offsets_[t] && clusters_[cursor - 1] == cluster &&
-            refs_[cursor - 1] > 0) {
-          refs_[cursor - 1] += 1;
-          weights_[cursor - 1] += row.values[i];
-        } else {
-          clusters_[cursor] = cluster;
-          refs_[cursor] = 1;
-          weights_[cursor] = row.values[i];
-          counts_[t] = cursor + 1;
-        }
-      }
-    }
-  }
-}
-
-void FlatRepIndex::BuildFromClustersParallel(
-    const SimilarityContext& ctx, const std::vector<Cluster>& clusters,
-    ThreadPool* pool) {
-  // Phase A (parallel, one lane per cluster range): accumulate each
-  // cluster's (term, refs, weight) list independently. Within one
-  // (term, cluster) pair the member ψ values are added in member order —
-  // the serial build's exact addition sequence — so phase B can lay the
-  // accumulated triples out without any further arithmetic.
-  struct PairAccum {
-    uint32_t term;
-    uint32_t refs;
-    double weight;
-  };
-  const size_t terms = counts_.size();
-  std::vector<std::vector<PairAccum>> per_cluster(k_);
-  pool->ParallelFor(k_, /*grain=*/1, [&](size_t begin, size_t end) {
-    // Chunk-local scratch: term → position in the current cluster's list,
-    // tagged per cluster so clearing is O(1).
-    std::vector<uint32_t> tag(terms, 0);
-    std::vector<uint32_t> pos(terms, 0);
-    for (size_t p = begin; p < end; ++p) {
-      const uint32_t cluster_tag = static_cast<uint32_t>(p) + 1;
-      std::vector<PairAccum>& list = per_cluster[p];
-      for (DocId id : clusters[p].members()) {
-        const SimilarityContext::Row row = ctx.RowAt(ctx.SlotOf(id));
-        for (size_t i = 0; i < row.size; ++i) {
-          const uint32_t t = row.terms[i];
-          if (tag[t] == cluster_tag) {
-            list[pos[t]].refs += 1;
-            list[pos[t]].weight += row.values[i];
-          } else {
-            tag[t] = cluster_tag;
-            pos[t] = static_cast<uint32_t>(list.size());
-            list.push_back({t, 1, row.values[i]});
-          }
-        }
-      }
-    }
-  });
-
-  // Phase B (serial): count, prefix-sum, then fill in ascending cluster
-  // order — reproducing the serial build's per-term entry order (ascending
-  // cluster ids) and therefore a bit-identical CSR.
-  for (size_t p = 0; p < k_; ++p) {
-    for (const PairAccum& a : per_cluster[p]) ++counts_[a.term];
-  }
-  offsets_.assign(terms + 1, 0);
-  for (size_t t = 0; t < terms; ++t) offsets_[t + 1] = offsets_[t] + counts_[t];
-  ResizeEntries(offsets_[terms]);
-  for (size_t t = 0; t < terms; ++t) counts_[t] = offsets_[t];
-  for (size_t p = 0; p < k_; ++p) {
-    const uint32_t cluster = static_cast<uint32_t>(p);
-    for (const PairAccum& a : per_cluster[p]) {
-      const size_t cursor = counts_[a.term]++;
-      clusters_[cursor] = cluster;
-      refs_[cursor] = a.refs;
-      weights_[cursor] = a.weight;
-    }
-  }
-}
-
-void FlatRepIndex::BuildFromRepresentatives(
-    const SimilarityContext& ctx, const std::vector<SparseVector>& reps) {
-  k_ = reps.size();
-  PrepareBuild(ctx);
-
-  const size_t terms = counts_.size();
-  for (size_t p = 0; p < k_; ++p) {
-    for (const auto& e : reps[p].entries()) {
-      if (e.value == 0.0) continue;
-      const uint32_t t = ctx.LocalTerm(e.id);
-      if (t == SimilarityContext::kNoLocalTerm) continue;
-      ++counts_[t];
-    }
-  }
-  offsets_.assign(terms + 1, 0);
-  for (size_t t = 0; t < terms; ++t) offsets_[t + 1] = offsets_[t] + counts_[t];
-  ResizeEntries(offsets_[terms]);
-  for (size_t t = 0; t < terms; ++t) counts_[t] = offsets_[t];
-  for (size_t p = 0; p < k_; ++p) {
-    for (const auto& e : reps[p].entries()) {
-      if (e.value == 0.0) continue;
-      const uint32_t t = ctx.LocalTerm(e.id);
-      if (t == SimilarityContext::kNoLocalTerm) continue;
-      const size_t cursor = counts_[t]++;
+    for (const Cluster::TermPosting& posting : per_cluster[p]) {
+      const size_t cursor = counts_[posting.term]++;
       clusters_[cursor] = static_cast<uint32_t>(p);
-      refs_[cursor] = 1;
-      weights_[cursor] = e.value;
+      refs_[cursor] = posting.refs;
+      weights_[cursor] = posting.weight;
     }
   }
   QuantizeAll();
   stats_.live_entries = offsets_[terms];
+}
+
+void FlatRepIndex::BuildFromRepresentatives(
+    const SimilarityContext& ctx, const std::vector<SparseVector>& reps) {
+  std::vector<std::vector<Cluster::TermPosting>> per_cluster(reps.size());
+  for (size_t p = 0; p < reps.size(); ++p) {
+    for (const auto& e : reps[p].entries()) {
+      if (e.value == 0.0) continue;
+      const uint32_t t = ctx.LocalTerm(e.id);
+      if (t == SimilarityContext::kNoLocalTerm) continue;
+      per_cluster[p].push_back({t, 1, e.value});
+    }
+  }
+  BuildFromPostings(ctx, per_cluster);
 }
 
 bool FlatRepIndex::NeedsDeltaFallback(

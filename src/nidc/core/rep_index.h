@@ -23,10 +23,6 @@
 #include "nidc/text/sparse_vector.h"
 
 namespace nidc {
-class ThreadPool;
-}  // namespace nidc
-
-namespace nidc {
 
 /// CSR posting index over the K cluster representatives, addressed by the
 /// SimilarityContext's dense *local* term ids: one flat entry array plus a
@@ -103,16 +99,14 @@ class FlatRepIndex {
   size_t num_clusters() const { return k_; }
   bool built() const { return built_; }
 
-  /// Rebuilds the CSR postings from the cluster memberships, accumulating
-  /// member ψ values per (term, cluster) in member order — the exact
-  /// addition order Cluster::Refresh uses for the representatives. Clears
-  /// the overlay and all tombstones. One pass over the context's CSR rows
-  /// of the members; with a pool of >= 2 threads the per-cluster
-  /// accumulation runs sharded across it (the serial fill order is
-  /// reproduced exactly, so the result is bit-identical).
-  void BuildFromClusters(const SimilarityContext& ctx,
-                         const std::vector<Cluster>& clusters,
-                         ThreadPool* pool = nullptr);
+  /// Rebuilds the CSR postings from each cluster's (term, refs, weight)
+  /// list — what Cluster::Refresh emits, so the weights are the
+  /// representatives' coefficients bit-for-bit. Entries of one term are laid
+  /// out in ascending cluster order; each term may appear at most once per
+  /// list. Clears the overlay and all tombstones.
+  void BuildFromPostings(
+      const SimilarityContext& ctx,
+      const std::vector<std::vector<Cluster::TermPosting>>& per_cluster);
 
   /// Rebuilds from fixed representative vectors (seeded assignment): each
   /// term of rep[p] becomes one entry with refs = 1. Terms outside the
@@ -197,11 +191,6 @@ class FlatRepIndex {
   void ResizeEntries(size_t n);
   // Refreshes the fp16 shadow of every base entry (one pass, post-build).
   void QuantizeAll();
-  void BuildFromClustersSerial(const SimilarityContext& ctx,
-                               const std::vector<Cluster>& clusters);
-  void BuildFromClustersParallel(const SimilarityContext& ctx,
-                                 const std::vector<Cluster>& clusters,
-                                 ThreadPool* pool);
   // True when the document's row touches a term with overlay entries —
   // those carry no fp16 shadow and are interleaved per term, so such docs
   // take the legacy scalar loops.
@@ -230,10 +219,9 @@ class FlatRepIndex {
   // has_delta_ lets the scan skip the hash probe for untouched terms.
   std::vector<uint8_t> has_delta_;
   std::unordered_map<uint32_t, std::vector<Entry>> delta_;
-  // Build scratch, reused across rebuilds: per-term entry counts / fill
-  // cursors and a last-cluster marker for distinct-pair counting.
+  // Build scratch, reused across rebuilds: per-term entry counts, then
+  // fill cursors.
   std::vector<size_t> counts_;
-  std::vector<uint32_t> mark_;
   size_t k_ = 0;
   bool built_ = false;
   Stats stats_;

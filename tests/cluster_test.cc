@@ -232,7 +232,8 @@ TEST(ClusterTest, RefreshClearsDrift) {
     }
   }
   const double naive = c.AvgSimNaive(f.ctx());
-  c.Refresh(f.ctx());
+  Cluster::RefreshScratch scratch;
+  c.Refresh(f.ctx(), &scratch);
   EXPECT_NEAR(c.AvgSim(), naive, 1e-12);
   EXPECT_NEAR(c.cr_self(), c.representative().SquaredNorm(), 1e-12);
 }

@@ -296,5 +296,53 @@ TEST_F(DurableClustererTest, ClosedInstanceRefusesSteps) {
             StatusCode::kFailedPrecondition);
 }
 
+// A logged step whose active set is smaller than the previous step's
+// cluster count replays like any other: recovery quarantines nothing and
+// lands on the uninterrupted run's state.
+TEST_F(DurableClustererTest, RecoversThroughAStepWithFewerActiveDocsThanK) {
+  Corpus corpus;
+  corpus.AddText("iraq weapons inspection baghdad", 0.0, 1);
+  corpus.AddText("iraq sanctions baghdad embargo", 0.0, 1);
+  corpus.AddText("olympics skating nagano medal", 1.0, 2);
+  corpus.AddText("olympics hockey nagano final", 1.0, 2);
+  corpus.AddText("tobacco settlement senate lawsuit", 30.0, 3);
+  corpus.AddText("tobacco lawsuit vote senate", 31.0, 3);
+  corpus.AddText("iraq inspection weapons talks", 31.0, 1);
+  const std::vector<std::vector<DocId>> batches = {
+      {0, 1, 2, 3}, {}, {4}, {5, 6}};
+  const std::vector<DayTime> taus = {1.0, 14.5, 30.0, 31.0};
+  ForgettingParams params;
+  params.half_life_days = 7.0;
+  params.life_span_days = 14.0;
+
+  IncrementalClusterer reference(&corpus, params, incremental_);
+  for (size_t i = 0; i < batches.size(); ++i) {
+    ASSERT_TRUE(reference.Step(batches[i], taus[i]).ok()) << "step " << i;
+  }
+
+  const std::string dir = FreshDir("shrinking_active_set");
+  {
+    FaultInjectionEnv fault_env(Env::Default());
+    DurableOptions options = Options(dir, /*checkpoint_every=*/100);
+    options.env = &fault_env;
+    auto durable =
+        DurableClusterer::Open(&corpus, params, incremental_, options);
+    ASSERT_TRUE(durable.ok());
+    for (size_t i = 0; i < batches.size(); ++i) {
+      ASSERT_TRUE((*durable)->Step(batches[i], taus[i]).ok()) << "step " << i;
+    }
+    // Simulated kill: the WAL is the only record of all four steps.
+    fault_env.ArmCrashAtOp(1, CrashFlush::kKeepUnsynced);
+  }
+  auto recovered = DurableClusterer::Open(&corpus, params, incremental_,
+                                          Options(dir));
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ((*recovered)->recovery().quarantined_records, 0u);
+  EXPECT_EQ((*recovered)->recovery().replayed_records, batches.size());
+  EXPECT_EQ((*recovered)->applied_steps(), batches.size());
+  EXPECT_EQ(Fingerprint((*recovered)->clusterer()), Fingerprint(reference));
+  ASSERT_TRUE((*recovered)->Close().ok());
+}
+
 }  // namespace
 }  // namespace nidc

@@ -253,6 +253,46 @@ TEST_F(ExtendedKMeansTest, MembershipSeedWithTooManyClustersRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// A document listed in two memberships is seeded into the later one, as
+// if the earlier listing were absent (it is listed last there, so taking
+// it out leaves the earlier cluster's member order unchanged).
+TEST_F(ExtendedKMeansTest, MembershipSeedListingADocumentTwiceKeepsTheLast) {
+  ExtendedKMeansOptions opts;
+  opts.k = 3;
+  opts.seed = 5;
+  auto first = RunExtendedKMeans(*ctx_, docs_, opts);
+  ASSERT_TRUE(first.ok());
+  std::vector<std::vector<DocId>> moved = first->clusters;
+  const size_t to = moved.size() - 1;
+  size_t from = 0;
+  while (from < to && moved[from].size() < 2) ++from;
+  ASSERT_LT(from, to);
+  const DocId twice = moved[from].back();
+  moved[from].pop_back();
+  moved[to].push_back(twice);
+
+  KMeansSeeds listed_twice;
+  listed_twice.mode = SeedMode::kMembership;
+  listed_twice.memberships = moved;
+  listed_twice.memberships[from].push_back(twice);
+  KMeansSeeds listed_once;
+  listed_once.mode = SeedMode::kMembership;
+  listed_once.memberships = moved;
+
+  auto a = RunExtendedKMeans(*ctx_, docs_, opts, listed_twice);
+  auto b = RunExtendedKMeans(*ctx_, docs_, opts, listed_once);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->clusters, b->clusters);
+  EXPECT_EQ(a->representatives, b->representatives);
+  EXPECT_EQ(a->avg_sims, b->avg_sims);
+  EXPECT_EQ(a->cluster_ids, b->cluster_ids);
+  EXPECT_EQ(a->next_cluster_id, b->next_cluster_id);
+  EXPECT_EQ(a->outliers, b->outliers);
+  EXPECT_EQ(a->g_history, b->g_history);
+  EXPECT_EQ(a->iterations, b->iterations);
+}
+
 TEST_F(ExtendedKMeansTest, ShuffledSweepStillRecoversTopics) {
   ExtendedKMeansOptions opts;
   opts.k = 3;

@@ -196,6 +196,54 @@ TEST_F(IncrementalClustererTest, RepresentativeReseedModeRuns) {
   EXPECT_GT(second->clustering.TotalAssigned(), 0u);
 }
 
+// The active set drops below the previous step's K clusters (which
+// RunExtendedKMeans would reject as a seed) and then grows back past K.
+TEST_F(IncrementalClustererTest, ActiveSetBelowKStillReseedsAndRecovers) {
+  corpus_.AddText("iraq inspection weapons talks", 31.0, 1);
+  corpus_.AddText("olympics medal skating final", 31.0, 2);
+  corpus_.AddText("tobacco senate settlement vote", 31.0, 3);
+  corpus_.AddText("nagano hockey olympics games", 31.0, 2);
+  for (SeedMode mode : {SeedMode::kMembership, SeedMode::kRepresentatives}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    IncrementalOptions opts = Options(4);
+    opts.reseed_mode = mode;
+    IncrementalClusterer ic(&corpus_, Params(7.0, 14.0), opts);
+    auto full = ic.Step({0, 1, 2, 3}, 1.0);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_EQ(full->clustering.clusters.size(), 4u);
+
+    // The day-0 documents expire; two day-1 documents face four clusters.
+    // Only clusters holding one of them seed the step, with their ids.
+    auto shrunk = ic.Step({}, 14.5);
+    ASSERT_TRUE(shrunk.ok()) << shrunk.status().ToString();
+    EXPECT_EQ(shrunk->num_active, 2u);
+    ASSERT_EQ(shrunk->clustering.clusters.size(), 2u);
+    for (size_t p = 0; p < 2; ++p) {
+      if (shrunk->clustering.clusters[p].empty()) continue;
+      const int before =
+          full->clustering.ClusterOf(shrunk->clustering.clusters[p].front());
+      ASSERT_NE(before, kUnassigned);
+      EXPECT_EQ(shrunk->clustering.cluster_ids[p],
+                full->clustering.cluster_ids[static_cast<size_t>(before)]);
+    }
+
+    // Every seeded document expires: no cluster survives, so the step
+    // starts from random singletons.
+    auto emptied = ic.Step({4}, 30.0);
+    ASSERT_TRUE(emptied.ok()) << emptied.status().ToString();
+    EXPECT_EQ(emptied->num_active, 1u);
+    EXPECT_EQ(emptied->clustering.TotalAssigned(), 1u);
+
+    auto recovered = ic.Step({6, 7, 8, 9}, 31.0);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->num_active, 5u);
+    EXPECT_EQ(recovered->clustering.clusters.size(), 4u);
+    EXPECT_EQ(recovered->clustering.TotalAssigned() +
+                  recovered->clustering.outliers.size(),
+              5u);
+  }
+}
+
 TEST_F(IncrementalClustererTest, BatchClustererRebuildsEachTime) {
   BatchClusterer bc(&corpus_, Params(7.0, 14.0), Options().kmeans);
   auto run1 = bc.Run({0, 1, 2, 3}, 1.0);
