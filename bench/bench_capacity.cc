@@ -30,16 +30,24 @@
 // → snapshot rotation, when one happened) — the split that says whether a
 // layout is queue-bound or compute-bound.
 //
+// The three layouts run once per round, for five rounds alternating
+// forward and reverse row order, and every round checks the digests. The
+// table reports each row's median-seconds round; the speedup is the
+// median over rounds of the paired ratio multishard ÷ best single-shard
+// row of the same round, since one sub-second run per row is too noisy to
+// gate on.
+//
 // Env knobs:
 //   NIDC_CAPACITY_SCALE    corpus scale (default 0.3)
 //   NIDC_CAPACITY_TENANTS  tenant count (default 8)
 //   NIDC_CAPACITY_BATCH    documents per ingest batch (default 32)
 //   NIDC_REQUIRE_SHARD_SPEEDUP  if positive, exit non-zero unless the
 //                          multishard row beats the best single-shard row
-//                          by that factor — skipped with a note when the
-//                          host has fewer than 4 hardware threads (the
-//                          ratio is meaningless without cores to spread
-//                          shards over; the 4-vcpu guard CI enforces it)
+//                          by that factor (median of paired rounds) —
+//                          skipped with a note when the host has fewer
+//                          than 4 hardware threads (the ratio is
+//                          meaningless without cores to spread shards
+//                          over; the 4-vcpu guard CI enforces it)
 //   NIDC_BENCH_JSON_DIR    output directory for BENCH_capacity.json
 //                          (default ".")
 
@@ -319,7 +327,7 @@ RowResult RunRow(const RowConfig& row, const std::string& root,
 }
 
 void WriteJson(const std::string& path, double scale, size_t tenants,
-               size_t batch_docs, size_t total_docs, size_t hw,
+               size_t batch_docs, size_t total_docs, size_t hw, int rounds,
                const std::vector<RowConfig>& rows,
                const std::vector<RowResult>& results, double speedup,
                bool identical) {
@@ -335,6 +343,7 @@ void WriteJson(const std::string& path, double scale, size_t tenants,
   std::fprintf(f, "  \"batch_docs\": %zu,\n", batch_docs);
   std::fprintf(f, "  \"total_docs\": %zu,\n", total_docs);
   std::fprintf(f, "  \"hardware_threads\": %zu,\n", hw);
+  std::fprintf(f, "  \"rounds\": %d,\n", rounds);
   std::fprintf(f, "  \"wal_sync\": \"none\",\n");
   std::fprintf(f, "  \"identical\": %s,\n", identical ? "true" : "false");
   std::fprintf(f, "  \"speedup_multishard_vs_best_single\": %.4f,\n",
@@ -435,15 +444,56 @@ int Main() {
       {"1shard-parallel", 1, 0},
       {"multishard", std::max<size_t>(4, std::min(tenants, hw)), 1},
   };
+  constexpr int kRounds = 5;  // odd: the median is one paired ratio
+  std::vector<std::vector<RowResult>> runs(rows.size());
+  std::vector<double> ratios;
+  bool identical = true;
+  for (int r = 0; r < kRounds; ++r) {
+    std::vector<RowResult> round(rows.size());
+    for (size_t j = 0; j < rows.size(); ++j) {
+      const size_t i = r % 2 == 0 ? j : rows.size() - 1 - j;
+      std::printf("round %d: running %s...\n", r + 1, rows[i].name);
+      round[i] = RunRow(rows[i],
+                        base + "/" + rows[i].name + "." + std::to_string(r),
+                        config, batches, flush_until, reference);
+      identical &= round[i].identical;
+      std::printf("  %s: %.3f s, %.0f docs/s\n", rows[i].name,
+                  round[i].seconds, round[i].docs_per_sec);
+    }
+    // Rows must also agree with each other, not just with the reference —
+    // redundant given per-row reference checks, but it localizes a failure.
+    for (size_t i = 1; i < rows.size(); ++i) {
+      if (round[i].digests != round[0].digests) {
+        std::fprintf(stderr, "MISMATCH: %s and %s disagree in round %d\n",
+                     rows[0].name, rows[i].name, r + 1);
+        identical = false;
+      }
+    }
+    const double best_single =
+        std::max(round[0].docs_per_sec, round[1].docs_per_sec);
+    ratios.push_back(round[2].docs_per_sec / std::max(best_single, 1e-9));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      runs[i].push_back(std::move(round[i]));
+    }
+  }
+  // Each row's median-seconds round: a real run, so its columns agree.
   std::vector<RowResult> results;
+  for (std::vector<RowResult>& row_runs : runs) {
+    std::nth_element(row_runs.begin(), row_runs.begin() + kRounds / 2,
+                     row_runs.end(),
+                     [](const RowResult& a, const RowResult& b) {
+                       return a.seconds < b.seconds;
+                     });
+    results.push_back(std::move(row_runs[kRounds / 2]));
+  }
+  std::printf("\n%d rounds; each row is its median-seconds round\n",
+              kRounds);
   TablePrinter table({"config", "shards", "thr/shard", "seconds",
                       "docs/s", "p50 ms", "p99 ms", "retries",
                       "identical"});
-  for (const RowConfig& row : rows) {
-    std::printf("running %s...\n", row.name);
-    results.push_back(RunRow(row, base + "/" + row.name, config, batches,
-                             flush_until, reference));
-    const RowResult& r = results.back();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const RowConfig& row = rows[i];
+    const RowResult& r = results[i];
     table.AddRow(
         {row.name, std::to_string(row.shards),
          std::to_string(ThreadPool::Resolve(row.threads_per_shard)),
@@ -452,7 +502,6 @@ int Main() {
          Fmt(r.p50_ms, 2), Fmt(r.p99_ms, 2), std::to_string(r.retries),
          r.identical ? "YES" : "NO"});
   }
-  std::printf("\n");
   table.Print(std::cout);
 
   // Where each layout spends its latency: queue wait vs worker apply vs
@@ -472,32 +521,18 @@ int Main() {
   }
   stages.Print(std::cout);
 
-  bool identical = true;
-  for (const RowResult& r : results) identical &= r.identical;
-  // Rows must also agree with each other, not just with the reference —
-  // redundant given per-row reference checks, but it localizes a failure.
-  for (size_t i = 1; i < results.size(); ++i) {
-    if (results[i].digests != results[0].digests) {
-      std::fprintf(stderr, "MISMATCH: %s and %s disagree\n", rows[0].name,
-                   rows[i].name);
-      identical = false;
-    }
-  }
-
-  const double best_single =
-      std::max(results[0].docs_per_sec, results[1].docs_per_sec);
-  const double speedup =
-      results[2].docs_per_sec / std::max(best_single, 1e-9);
+  const double speedup = Median(ratios);
   std::printf("\nper-tenant digests identical everywhere: %s\n",
               identical ? "YES" : "NO");
-  std::printf("multishard speedup over best single-shard row: %.2fx\n",
-              speedup);
+  std::printf("multishard speedup over best single-shard row, per round:");
+  for (double ratio : ratios) std::printf(" %.2fx", ratio);
+  std::printf("; median %.2fx\n", speedup);
 
   const char* dir = std::getenv("NIDC_BENCH_JSON_DIR");
   WriteJson(std::string(dir != nullptr && dir[0] != '\0' ? dir : ".") +
                 "/BENCH_capacity.json",
-            scale, tenants, batch_docs, total_docs, hw, rows, results,
-            speedup, identical);
+            scale, tenants, batch_docs, total_docs, hw, kRounds, rows,
+            results, speedup, identical);
 
   std::filesystem::remove_all(base);
 

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "nidc/core/incremental_clusterer.h"
 #include "nidc/corpus/stream.h"
@@ -30,6 +31,14 @@ inline double EnvScale(const char* name, double fallback) {
   if (value == nullptr) return fallback;
   const double parsed = std::atof(value);
   return parsed > 0.0 ? parsed : fallback;
+}
+
+/// Median of an odd-sized sample: its single middle element. The benches'
+/// perf gates read the median of per-round paired ratios through it.
+inline double Median(std::vector<double> values) {
+  const size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  return values[mid];
 }
 
 /// One generated corpus + its generator, built once per bench process.

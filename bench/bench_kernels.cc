@@ -13,8 +13,9 @@
 //
 // Env knobs:
 //   NIDC_KBENCH_K        clusters (default 16 — exercises the AVX-512
-//                        register-resident path; set > 16 for the
-//                        gather/scatter path)
+//                        register-resident paths, exact up to K = 32 and
+//                        quantized up to K = 16; larger K takes the
+//                        gather/scatter paths)
 //   NIDC_KBENCH_TERMS    vocabulary size (default 4096)
 //   NIDC_KBENCH_ROW      terms per document row (default 64)
 //   NIDC_KBENCH_DOCS     documents per repetition (default 2048)
@@ -57,14 +58,20 @@ struct Arena {
   std::vector<uint32_t> clusters;
   std::vector<double> weights;
   std::vector<uint16_t> qweights;
+  std::vector<uint32_t> masks;  // per-term cluster bitmask (K <= 32)
   std::vector<uint32_t> row_terms;
   std::vector<double> row_values;
   std::vector<size_t> row_offsets;
   size_t k = 0;
 
   kernels::PostingsView View() const {
-    return {offsets.data(), clusters.data(),  weights.data(),
-            qweights.data(), offsets.size() - 1, k};
+    return {offsets.data(),
+            clusters.data(),
+            weights.data(),
+            qweights.data(),
+            masks.empty() ? nullptr : masks.data(),
+            offsets.size() - 1,
+            k};
   }
   kernels::DocRow Row(size_t d) const {
     const size_t begin = row_offsets[d];
@@ -87,11 +94,14 @@ Arena BuildArena(size_t k, size_t terms, size_t row, size_t docs) {
       ids.push_back(static_cast<uint32_t>(p));
     }
     std::sort(ids.begin(), ids.end());
+    uint32_t mask = 0;
     for (uint32_t c : ids) {
       a.clusters.push_back(c);
       a.weights.push_back(rng.NextDouble() * 0.1);
+      if (k <= kernels::kMaxMaskedClusters) mask |= uint32_t{1} << c;
     }
     a.offsets.push_back(a.clusters.size());
+    if (k <= kernels::kMaxMaskedClusters) a.masks.push_back(mask);
   }
   const size_t n = a.clusters.size();
   a.clusters.resize(n + kernels::kPostingPadding, 0);

@@ -6,14 +6,16 @@
 namespace nidc {
 
 void Cluster::Add(DocId id, const SimilarityContext& ctx) {
-  assert(!Contains(id));
   const SparseVector& psi = ctx.Psi(id);
-  const double self = ctx.SelfSim(id);
+  AddGivenT(id, representative_.Dot(psi), ctx.SelfSim(id));
+  representative_.AddScaled(psi, 1.0);
+}
+
+void Cluster::AddGivenT(DocId id, double t, double self) {
   // cr_sim(C∪{d}, C∪{d}) = cr_self + 2·cr_sim(C, {d}) + sim(d, d):
   // the expansion that makes Eq. 26 a single dot product.
-  cr_self_ += 2.0 * representative_.Dot(psi) + self;
+  cr_self_ += 2.0 * t + self;
   ss_ += self;
-  representative_.AddScaled(psi, 1.0);
   AttachMember(id);
 }
 
@@ -25,15 +27,18 @@ void Cluster::AttachMember(DocId id) {
 }
 
 void Cluster::Remove(DocId id, const SimilarityContext& ctx) {
-  assert(Contains(id));
   const SparseVector& psi = ctx.Psi(id);
-  const double self = ctx.SelfSim(id);
+  const double t = representative_.Dot(psi);
+  representative_.AddScaled(psi, -1.0);
+  RemoveGivenT(id, t, ctx.SelfSim(id));
+}
+
+void Cluster::RemoveGivenT(DocId id, double t, double self) {
   // Deletion counterpart: with c' = c − ψ_d,
   // c'·c' = c·c − 2·c·ψ_d + ψ_d·ψ_d.
-  cr_self_ += -2.0 * representative_.Dot(psi) + self;
+  cr_self_ += -2.0 * t + self;
   ss_ -= self;
-  representative_.AddScaled(psi, -1.0);
-  DetachMember(id);
+  DetachMember(id);  // an emptied cluster also drops its representative
 }
 
 void Cluster::DetachMember(DocId id) {

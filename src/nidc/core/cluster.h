@@ -38,6 +38,15 @@ class Cluster {
   /// removal.
   void Remove(DocId id, const SimilarityContext& ctx);
 
+  /// Add and Remove with the cross term T = c⃗·ψ_d (before the mutation)
+  /// supplied by the caller: cr_self, ss and the membership change exactly
+  /// as there, but the representative is left stale until the next
+  /// Refresh. A slotted ClusterSet takes T from its posting index, which
+  /// sums the representative's products in Dot's order, so the statistics
+  /// stay bit-identical to Add/Remove. `self` is sim(d, d).
+  void AddGivenT(DocId id, double t, double self);
+  void RemoveGivenT(DocId id, double t, double self);
+
   /// The membership halves of Add and Remove: the member list, position
   /// map and identity-continuity state change exactly as there, but the
   /// representative, cr_self and ss are left stale. For seeding, which is
@@ -197,6 +206,9 @@ class Cluster {
   /// Members in unspecified (but deterministic) order — see Remove().
   const std::vector<DocId>& members() const { return members_; }
 
+  /// c⃗_p (Eq. 20). Always current after Refresh and under Add / Remove /
+  /// MergeFrom; AddGivenT / RemoveGivenT leave it stale (an emptied cluster
+  /// still drops it) until the next Refresh.
   const SparseVector& representative() const { return representative_; }
   double cr_self() const { return cr_self_; }
   double ss() const { return ss_; }

@@ -22,33 +22,40 @@ void ClusterSet::Move(DocId id, int p, const SimilarityContext* ctx) {
   }
   const int current = assignment_[id];
   if (current == p) return;
-  const bool postings = ctx != nullptr && scoring_ == ClusterScoring::kSlotted;
+  // Once built, the posting index supplies each side's cross term c⃗·ψ
+  // (bit-identical to the representative's Dot), so the representative
+  // vectors are not maintained until the next RefreshAll.
+  const bool indexed = ctx != nullptr && slotted() && flat_index_.built();
+  const SimilarityContext::Slot slot =
+      indexed ? ctx->SlotOf(id) : SimilarityContext::kNoSlot;
   if (current != kUnassigned) {
-    Cluster& source = clusters_[static_cast<size_t>(current)];
+    const size_t q = static_cast<size_t>(current);
+    Cluster& source = clusters_[q];
     if (ctx == nullptr) {
       source.DetachMember(id);
+    } else if (indexed) {
+      source.RemoveGivenT(id, flat_index_.ApplyRemove(*ctx, slot, q),
+                          ctx->SelfSimAt(slot));
+      if (source.empty()) flat_index_.ResetEmptyCluster(q);
     } else {
       source.Remove(id, *ctx);
-    }
-    if (postings) {
-      flat_index_.ApplyRemove(*ctx, ctx->SlotOf(id),
-                              static_cast<size_t>(current));
     }
     assignment_[id] = kUnassigned;
     --total_assigned_;
   }
   if (p != kUnassigned) {
-    Cluster& target = clusters_[static_cast<size_t>(p)];
+    const size_t q = static_cast<size_t>(p);
+    Cluster& target = clusters_[q];
     if (target.empty() && !target.ReseedContinuesIdentity(id)) {
       target.set_id(next_id_++);
     }
     if (ctx == nullptr) {
       target.AttachMember(id);
+    } else if (indexed) {
+      target.AddGivenT(id, flat_index_.ApplyAdd(*ctx, slot, q),
+                       ctx->SelfSimAt(slot));
     } else {
       target.Add(id, *ctx);
-    }
-    if (postings) {
-      flat_index_.ApplyAdd(*ctx, ctx->SlotOf(id), static_cast<size_t>(p));
     }
     assignment_[id] = p;
     ++total_assigned_;
@@ -86,8 +93,8 @@ void ClusterSet::ReplayStay(DocId id, size_t p, double t_attached,
 
 void ClusterSet::RefreshAll(const SimilarityContext& ctx, ThreadPool* pool) {
   const size_t k = clusters_.size();
-  const bool slotted = scoring_ == ClusterScoring::kSlotted;
-  if (slotted) postings_.resize(k);
+  const bool postings = slotted();
+  if (postings) postings_.resize(k);
   const size_t threads = pool == nullptr ? 1 : pool->num_threads();
   const size_t lanes = std::max<size_t>(1, std::min(threads, k));
   if (scratch_.size() < lanes) scratch_.resize(lanes);
@@ -98,7 +105,7 @@ void ClusterSet::RefreshAll(const SimilarityContext& ctx, ThreadPool* pool) {
   const auto lane = [&](size_t l, size_t) {
     for (size_t p = next++; p < k; p = next++) {
       clusters_[p].Refresh(ctx, &scratch_[l],
-                           slotted ? &postings_[p] : nullptr);
+                           postings ? &postings_[p] : nullptr);
     }
   };
   if (lanes > 1) {
@@ -107,7 +114,7 @@ void ClusterSet::RefreshAll(const SimilarityContext& ctx, ThreadPool* pool) {
     lane(0, 1);
   }
   // Also clears the mid-sweep overlay and tombstones.
-  if (slotted) flat_index_.BuildFromPostings(ctx, postings_);
+  if (postings) flat_index_.BuildFromPostings(ctx, postings_);
 }
 
 double ClusterSet::G() const {

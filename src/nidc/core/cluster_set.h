@@ -24,19 +24,29 @@ enum class ClusterScoring {
   /// statistics are derived algebraically, and postings/caches change only
   /// on actual moves. Default.
   kSlotted,
+  /// kSlotted behind the fp16-quantized first pass with certified-margin
+  /// exact re-checks (ExtendedKMeansOptions::quantized_scoring); only this
+  /// scoring makes the posting index keep fp16 shadow weights.
+  kSlottedQuantized,
 };
 
 /// Owns K clusters and keeps the assignment map consistent with their
-/// membership. With kSlotted scoring, a flat CSR term → (cluster, weight)
+/// membership. With slotted scoring, a flat CSR term → (cluster, weight)
 /// posting index over the context's dense local term ids additionally
 /// mirrors the K representative vectors and is kept in sync by
 /// Assign/RefreshAll, so cr_sim(C_p, {d}) can be evaluated for every
-/// cluster in one pass over ψ_d (see FlatRepIndex).
+/// cluster in one pass over ψ_d (see FlatRepIndex). Once the index is
+/// built, a slotted Assign takes the move's cross terms from it and leaves
+/// the representative vectors stale: cluster(p).representative() is valid
+/// after RefreshAll, while cr_self, ss and the membership are current
+/// after every call.
 class ClusterSet {
  public:
   explicit ClusterSet(size_t k,
                       ClusterScoring scoring = ClusterScoring::kMerge)
-      : clusters_(k), scoring_(scoring) {}
+      : clusters_(k),
+        flat_index_(scoring == ClusterScoring::kSlottedQuantized),
+        scoring_(scoring) {}
 
   size_t num_clusters() const { return clusters_.size(); }
   Cluster& cluster(size_t p) { return clusters_[p]; }
@@ -101,8 +111,10 @@ class ClusterSet {
   size_t TotalAssigned() const { return total_assigned_; }
 
   ClusterScoring scoring() const { return scoring_; }
+  /// True for both slotted scorings (the posting index is maintained).
+  bool slotted() const { return scoring_ != ClusterScoring::kMerge; }
 
-  /// The flat CSR posting index (meaningful only with kSlotted).
+  /// The flat CSR posting index (meaningful only when slotted()).
   const FlatRepIndex& flat_index() const { return flat_index_; }
 
  private:

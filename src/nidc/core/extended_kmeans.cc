@@ -30,8 +30,9 @@ Status ExtendedKMeansOptions::Validate() const {
 namespace {
 
 ClusterScoring ScoringOf(const ExtendedKMeansOptions& options) {
-  return options.use_rep_index ? ClusterScoring::kSlotted
-                               : ClusterScoring::kMerge;
+  if (!options.use_rep_index) return ClusterScoring::kMerge;
+  return options.quantized_scoring ? ClusterScoring::kSlottedQuantized
+                                   : ClusterScoring::kSlotted;
 }
 
 // Accumulates elapsed seconds into *acc on destruction; no clock reads at
@@ -111,6 +112,16 @@ struct ProvCapture {
   uint32_t iteration = 0;
 };
 
+// The sweeps' telemetry sinks (all null/empty when uninstrumented), owned
+// by the run so the event staging buffer keeps its capacity across sweeps
+// instead of regrowing in every one.
+struct SweepSinks {
+  obs::EventLog* events = nullptr;
+  std::vector<obs::Event> staged_events;  // flushed once per sweep
+  double* maintenance_seconds = nullptr;
+  std::vector<ProvCapture>* capture = nullptr;
+};
+
 // Per-slot constants of the quantized error bound, filled lazily and
 // reused across sweep iterations: a slot's row (term count, |v|max) is
 // immutable for the lifetime of a run, so its margin coefficients never
@@ -144,7 +155,9 @@ void EmitSweepEvents(std::vector<obs::Event>* buffer,
                      const ClusterSet& clusters, DocId id, int previous,
                      int best, bool reseeded) {
   if (best == previous) return;
-  obs::Event moved;
+  // Built in place: an Event is 112 bytes with a std::string member, too
+  // big to stage through a temporary on the overhead-gated path.
+  obs::Event& moved = buffer->emplace_back();
   moved.type = obs::EventType::kDocMoved;
   moved.doc = id;
   if (previous != kUnassigned) {
@@ -153,19 +166,16 @@ void EmitSweepEvents(std::vector<obs::Event>* buffer,
   if (best != kUnassigned) {
     moved.cluster_id = clusters.cluster_id(static_cast<size_t>(best));
   }
-  buffer->push_back(std::move(moved));
   if (previous != kUnassigned &&
       clusters.cluster(static_cast<size_t>(previous)).empty()) {
-    obs::Event emptied;
+    obs::Event& emptied = buffer->emplace_back();
     emptied.type = obs::EventType::kClusterEmptied;
     emptied.cluster_id = clusters.cluster_id(static_cast<size_t>(previous));
-    buffer->push_back(std::move(emptied));
   }
   if (reseeded && best != kUnassigned) {
-    obs::Event reseed;
+    obs::Event& reseed = buffer->emplace_back();
     reseed.type = obs::EventType::kClusterReseeded;
     reseed.cluster_id = clusters.cluster_id(static_cast<size_t>(best));
-    buffer->push_back(std::move(reseed));
   }
 }
 
@@ -180,13 +190,12 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
                                     AssignmentCriterion criterion,
                                     ClusterSet* clusters,
                                     SweepCounters* counters,
-                                    obs::EventLog* events,
-                                    double* maintenance_seconds,
-                                    std::vector<ProvCapture>* capture,
-                                    uint32_t iteration) {
+                                    SweepSinks* sinks, uint32_t iteration) {
   std::vector<DocId> outliers;
-  std::vector<obs::Event> staged_events;
-  SampledSeconds maint_sampler(maintenance_seconds);
+  obs::EventLog* events = sinks->events;
+  std::vector<obs::Event>& staged_events = sinks->staged_events;
+  std::vector<ProvCapture>* capture = sinks->capture;
+  SampledSeconds maint_sampler(sinks->maintenance_seconds);
   for (DocId id : order) {
     const int previous = clusters->ClusterOf(id);
     bool reseeded = false;
@@ -279,18 +288,20 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
 std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
                                        const SimilarityContext& ctx,
                                        AssignmentCriterion criterion,
-                                       bool quantized, ClusterSet* clusters,
+                                       ClusterSet* clusters,
                                        SweepCounters* counters,
                                        QuantMargins* margins,
-                                       obs::EventLog* events,
-                                       double* maintenance_seconds,
-                                       std::vector<ProvCapture>* capture,
+                                       SweepSinks* sinks,
                                        uint32_t iteration) {
   std::vector<DocId> outliers;
+  const bool quantized =
+      clusters->scoring() == ClusterScoring::kSlottedQuantized;
   if (quantized) margins->EnsureSize(ctx.size());
   std::vector<double> t_scores;
-  std::vector<obs::Event> staged_events;
-  SampledSeconds maint_sampler(maintenance_seconds);
+  obs::EventLog* events = sinks->events;
+  std::vector<obs::Event>& staged_events = sinks->staged_events;
+  std::vector<ProvCapture>* capture = sinks->capture;
+  SampledSeconds maint_sampler(sinks->maintenance_seconds);
   std::vector<float> q_scores;
   std::vector<float> q_abs;
   std::vector<double> g_lo;
@@ -570,8 +581,8 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
                              t_home_detached, ctx);
       }
     } else {
-      // An actual move: delegate to the reference mutation path (its internal
-      // dot products equal the scanned cross terms bit-for-bit).
+      // An actual move: Assign updates the postings and takes both cross
+      // terms from them (the representatives' Dot, bit-for-bit).
       ScopedSeconds maint(maint_sampler.Next());
       clusters->Assign(id, best, ctx);
     }
@@ -599,19 +610,16 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
 
 std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
                                const SimilarityContext& ctx,
-                               AssignmentCriterion criterion, bool quantized,
+                               AssignmentCriterion criterion,
                                ClusterSet* clusters, SweepCounters* counters,
-                               QuantMargins* margins, obs::EventLog* events,
-                               double* maintenance_seconds,
-                               std::vector<ProvCapture>* capture,
+                               QuantMargins* margins, SweepSinks* sinks,
                                uint32_t iteration) {
-  if (clusters->scoring() == ClusterScoring::kSlotted) {
-    return SweepAssignMoveOnly(order, ctx, criterion, quantized, clusters,
-                               counters, margins, events,
-                               maintenance_seconds, capture, iteration);
+  if (clusters->slotted()) {
+    return SweepAssignMoveOnly(order, ctx, criterion, clusters, counters,
+                               margins, sinks, iteration);
   }
-  return SweepAssignMerge(order, ctx, criterion, clusters, counters, events,
-                          maintenance_seconds, capture, iteration);
+  return SweepAssignMerge(order, ctx, criterion, clusters, counters, sinks,
+                          iteration);
 }
 
 // Populates clusters from fixed representative vectors: each document joins
@@ -627,7 +635,8 @@ std::vector<DocId> AssignAgainstFixedRepresentatives(
     const SimilarityContext& ctx, ClusterScoring scoring, ThreadPool* pool,
     ClusterSet* clusters) {
   FlatRepIndex flat_seed_index;
-  if (scoring == ClusterScoring::kSlotted) {
+  const bool slotted = scoring != ClusterScoring::kMerge;
+  if (slotted) {
     flat_seed_index.BuildFromRepresentatives(ctx, reps);
   }
 
@@ -637,7 +646,7 @@ std::vector<DocId> AssignAgainstFixedRepresentatives(
     for (size_t i = begin; i < end; ++i) {
       int best = kUnassigned;
       double best_sim = 0.0;
-      if (scoring == ClusterScoring::kSlotted) {
+      if (slotted) {
         flat_seed_index.ScoreAll(ctx, ctx.SlotOf(docs[i]), &scores);
         for (size_t p = 0; p < reps.size(); ++p) {
           if (scores[p] > best_sim) {
@@ -701,8 +710,6 @@ Result<ClusteringResult> RunExtendedKMeans(
   // for metrics — time into a local profile in that case.
   KMeansProfile local_profile;
   if (metrics != nullptr && profile == nullptr) profile = &local_profile;
-  double* maintenance_seconds =
-      profile == nullptr ? nullptr : &profile->maintenance_seconds;
 
   // --- Initial process ---
   bool degenerate_restart = false;
@@ -814,10 +821,16 @@ Result<ClusteringResult> RunExtendedKMeans(
   // Slot-indexed provenance capture, overwritten every sweep; the final
   // sweep's contents are the run's settled decisions (flushed below).
   std::vector<ProvCapture> prov_capture;
-  std::vector<ProvCapture>* capture = nullptr;
+  SweepSinks sinks;
+  sinks.events = options.events;
+  // The first sweep moves every document out of "unassigned": one
+  // reservation covers its kDocMoved events without regrowth.
+  if (sinks.events != nullptr) sinks.staged_events.reserve(docs.size());
+  sinks.maintenance_seconds =
+      profile == nullptr ? nullptr : &profile->maintenance_seconds;
   if (options.provenance != nullptr) {
     prov_capture.resize(ctx.size());
-    capture = &prov_capture;
+    sinks.capture = &prov_capture;
   }
   Stopwatch phase_timer;
   while (iterations < options.max_iterations) {
@@ -826,10 +839,8 @@ Result<ClusteringResult> RunExtendedKMeans(
     {
       NIDC_SPAN("kmeans.sweep");
       if (time_phases) phase_timer.Restart();
-      outliers = SweepAssign(order, ctx, options.criterion,
-                             options.quantized_scoring, &clusters, &counters,
-                             &quant_margins, options.events,
-                             maintenance_seconds, capture,
+      outliers = SweepAssign(order, ctx, options.criterion, &clusters,
+                             &counters, &quant_margins, &sinks,
                              static_cast<uint32_t>(iterations + 1));
       if (time_phases) {
         const double seconds = phase_timer.ElapsedSeconds();
@@ -891,7 +902,7 @@ Result<ClusteringResult> RunExtendedKMeans(
     metrics->GetCounter("kmeans.outliers_total")->Increment(outliers.size());
     metrics->GetGauge("kmeans.g_initial")->Set(g_history.front());
     metrics->GetGauge("kmeans.g_final")->Set(g_old);
-    if (scoring == ClusterScoring::kSlotted) {
+    if (clusters.slotted()) {
       // Counters are cumulative over the FlatRepIndex lifetime (one run) —
       // incrementing by the final values folds them into the registry.
       const FlatRepIndex::Stats& fis = clusters.flat_index().stats();
@@ -915,7 +926,7 @@ Result<ClusteringResult> RunExtendedKMeans(
 
   // Scoring-kernel telemetry: fill the profile from the flat index's scan
   // stats and export the kernel.* metric family.
-  if (scoring == ClusterScoring::kSlotted && profile != nullptr) {
+  if (clusters.slotted() && profile != nullptr) {
     const FlatRepIndex::ScanStats& ss = clusters.flat_index().scan_stats();
     profile->kernel = kernels::Active().name;
     profile->score_bytes = ss.bytes_scanned.load(std::memory_order_relaxed);
@@ -957,8 +968,7 @@ Result<ClusteringResult> RunExtendedKMeans(
   if (options.provenance != nullptr) {
     std::vector<obs::DecisionRecord> records;
     records.reserve(docs.size());
-    const char* kernel =
-        scoring == ClusterScoring::kSlotted ? kernels::Active().name : "";
+    const char* kernel = clusters.slotted() ? kernels::Active().name : "";
     const obs::ProvenancePath path = scoring == ClusterScoring::kMerge
                                          ? obs::ProvenancePath::kMerge
                                          : obs::ProvenancePath::kSlotted;

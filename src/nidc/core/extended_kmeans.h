@@ -91,15 +91,18 @@ struct ExtendedKMeansOptions {
   /// Off: the original per-cluster merge path (kept as the reference).
   bool use_rep_index = true;
 
-  /// With the slotted sweep, score documents through the fp16-quantized
-  /// kernel pass first (see core/kernels): the fp32 scan touches half the
-  /// posting bytes, and a certified error margin (derived from the
-  /// per-cluster absolute-sum accumulators) proves which cluster the exact
-  /// path would pick. Ambiguous documents — and documents touching
-  /// mid-sweep overlay terms — are re-scored exactly, so every clustering
-  /// decision stays bit-identical to the unquantized sweep. Ignored
-  /// outside kSlotted scoring.
-  bool quantized_scoring = true;
+  /// Opt-in: with the slotted sweep, score documents through the
+  /// fp16-quantized kernel pass first (see core/kernels). The fp32 scan
+  /// touches half the posting bytes, and a certified error margin (derived
+  /// from the per-cluster absolute-sum accumulators) proves which cluster
+  /// the exact path would pick. Ambiguous documents — and documents
+  /// touching mid-sweep overlay terms — are re-scored exactly, so every
+  /// clustering decision stays bit-identical to the unquantized sweep. Off
+  /// by default: end to end it is slower than the exact AVX-512 kernel,
+  /// whose accumulators stay in registers up to K = 32, and it makes the
+  /// posting index maintain an fp16 shadow of every weight (see
+  /// docs/performance.md). Ignored without use_rep_index.
+  bool quantized_scoring = false;
 
   /// Concurrency for the read-only scans (ψ-vector construction in
   /// SimilarityContext when driven through the clusterers, the seeded

@@ -11,9 +11,9 @@
 //
 //   scalar   portable reference — bit-for-bit the historical loop
 //   avx2     256-bit lanes + F16C fp16 loads, software-prefetched rows
-//   avx512   512-bit masked lanes; for K <= 16 the score accumulators
-//            live entirely in registers (mask-expand instead of
-//            gather/scatter)
+//   avx512   512-bit masked lanes; the score accumulators live entirely
+//            in registers (mask-expand instead of gather/scatter) for
+//            K <= 32 on the exact path and K <= 16 on the quantized one
 //
 // The active kernel is chosen at startup from CPUID (best available) and
 // can be overridden with NIDC_KERNEL=scalar|avx2|avx512 for testing, or
@@ -46,15 +46,23 @@ enum class Kind { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// they scan carry this many zeroed slots of padding after the last entry.
 inline constexpr size_t kPostingPadding = 16;
 
+/// Largest K for which a view carries per-term cluster masks.
+inline constexpr size_t kMaxMaskedClusters = 32;
+
 /// Read-only SoA view of a flat CSR posting index (see FlatRepIndex).
 /// Posting entries of one term are sorted by ascending cluster id; the
 /// clusters / weights / qweights arrays are padded with kPostingPadding
-/// zeroed slots past offsets[num_terms].
+/// zeroed slots past offsets[num_terms]. With num_clusters <=
+/// kMaxMaskedClusters, cluster_masks[t] may give the term's sorted ids as
+/// one word (bit c set iff term t has a posting of cluster c); the AVX-512
+/// exact kernel routes weights into registers by it, and takes its
+/// gather/scatter path without it.
 struct PostingsView {
   const size_t* offsets = nullptr;     // num_terms + 1 entries
   const uint32_t* clusters = nullptr;  // entry cluster ids
   const double* weights = nullptr;     // exact fp64 weights
   const uint16_t* qweights = nullptr;  // fp16 shadow (null: quantization off)
+  const uint32_t* cluster_masks = nullptr;  // num_terms entries (K <= 32)
   size_t num_terms = 0;
   size_t num_clusters = 0;
 };

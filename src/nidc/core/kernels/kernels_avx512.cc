@@ -1,20 +1,30 @@
-// AVX-512 scoring kernels. Compiled with -mavx512f and reached only
-// through the runtime dispatch table (kernels.cc); everything here stays
-// inside the AVX512F foundation set (no BW/VL/DQ dependencies).
+// AVX-512 scoring kernels. Compiled with -mavx512f -mpopcnt and reached
+// only through the runtime dispatch table (kernels.cc); everything here
+// stays inside the AVX512F foundation set (no BW/VL/DQ dependencies).
 //
-// Exact fp64 kernel: 8 postings per iteration, masked vgatherdpd /
-// vscatterdpd against the fp64 score table. Within one term the posting
-// cluster ids are distinct, so gather-add-scatter inside a chunk never
-// collides, and each score accumulator still sees its additions in the
-// same term order as the scalar kernel — products are separate mul + add
-// (no FMA contraction), so the result is bit-identical.
+// Exact fp64 kernel, K <= 32: the K score accumulators live in
+// ceil(K/8) <= 4 zmm registers and each term is handled without branches.
+// The term's sorted cluster ids arrive as one bitmask
+// (PostingsView::cluster_masks); byte a of it is the lane mask of
+// register a, and vexpandpd loads the term's weights straight into their
+// cluster lanes — one masked expand-load per register, so the hot loop
+// does no score loads or stores. The home cluster's lane takes the
+// detached product (w − v)·v, and its attached product w·v feeds one more
+// register lane. Every accumulator sees the same additions in the same
+// term order as the scalar kernel, with separate mul + add (no FMA
+// contraction), so the result is bit-identical.
+//
+// Exact fp64 kernel, K > 32 (or a view without cluster masks): 8 postings
+// per iteration, masked vgatherdpd / vscatterdpd against the fp64 score
+// table. Within one term the posting cluster ids are distinct, so
+// gather-add-scatter inside a chunk never collides, and the
+// per-accumulator order is again the scalar kernel's.
 //
 // Quantized kernel: 16 postings per iteration over the fp16 shadow
 // weights. For K <= 16 the per-cluster fp32 accumulators live entirely in
-// two zmm registers: the sorted-distinct cluster ids of a chunk become a
-// bitmask (sllv + reduce-or) and vexpandps distributes the products into
-// their cluster lanes — the hot loop does no score loads or stores at
-// all. Larger K falls back to masked fp32 gather/scatter.
+// two zmm registers: the sorted distinct ids of a chunk become a bitmask
+// (sllv + reduce-or) and vexpandps routes the products into their cluster
+// lanes. Larger K falls back to masked fp32 gather/scatter.
 
 #include "nidc/core/kernels/kernels.h"
 
@@ -33,6 +43,19 @@ inline void PrefetchTermExact(const PostingsView& view, const DocRow& row,
     _mm_prefetch(reinterpret_cast<const char*>(view.clusters + off),
                  _MM_HINT_T0);
     _mm_prefetch(reinterpret_cast<const char*>(view.weights + off),
+                 _MM_HINT_T0);
+  }
+}
+
+// The register-resident exact path reads a term's mask and weights, never
+// its cluster ids.
+inline void PrefetchTermMasked(const PostingsView& view, const DocRow& row,
+                               size_t i) {
+  if (i + 2 < row.size) {
+    const uint32_t t = row.terms[i + 2];
+    _mm_prefetch(reinterpret_cast<const char*>(view.cluster_masks + t),
+                 _MM_HINT_T0);
+    _mm_prefetch(reinterpret_cast<const char*>(view.weights + view.offsets[t]),
                  _MM_HINT_T0);
   }
 }
@@ -108,11 +131,78 @@ uint64_t ScoreQuantizedRegister(const PostingsView& view, const DocRow& row,
   return entries;
 }
 
+// Exact path for K <= 8·NA: accumulators in NA zmm registers (lane c of
+// register c / 8 holds cluster c).
+template <int NA>
+uint64_t ScoreExactRegister(const PostingsView& view, const DocRow& row,
+                            uint32_t home, double* scores,
+                            double* home_attached) {
+  static_assert(NA >= 1 && NA <= 4, "K <= 32");
+  __m512d acc[NA];
+  __mmask8 home_lane[NA];
+  for (int a = 0; a < NA; ++a) {
+    acc[a] = _mm512_setzero_pd();
+    home_lane[a] = home != kNoHome && home / 8 == static_cast<uint32_t>(a)
+                       ? static_cast<__mmask8>(1u << (home % 8))
+                       : static_cast<__mmask8>(0);
+  }
+  // Only the home lane of the home register ever accumulates here.
+  __m512d attached = _mm512_setzero_pd();
+  uint64_t entries = 0;
+  for (size_t i = 0; i < row.size; ++i) {
+    PrefetchTermMasked(view, row, i);
+    const uint32_t t = row.terms[i];
+    const __m512d vv = _mm512_set1_pd(row.values[i]);
+    const uint32_t cb = view.cluster_masks[t];
+    entries += _mm_popcnt_u32(cb);
+    const double* w = view.weights + view.offsets[t];
+    for (int a = 0; a < NA; ++a) {
+      const __mmask8 ma = static_cast<__mmask8>(cb >> (8 * a));
+      // Sorted ids: the weights of register a's clusters are the next
+      // popcount(ma) entries, and expand routes each to its cluster lane.
+      const __m512d wexp = _mm512_maskz_expandloadu_pd(ma, w);
+      w += _mm_popcnt_u32(ma);
+      const __m512d prod = _mm512_mul_pd(wexp, vv);
+      const __m512d detached = _mm512_mul_pd(_mm512_sub_pd(wexp, vv), vv);
+      const __mmask8 mh = static_cast<__mmask8>(ma & home_lane[a]);
+      acc[a] = _mm512_mask_add_pd(acc[a], ma, acc[a],
+                                  _mm512_mask_mov_pd(prod, mh, detached));
+      attached = _mm512_mask_add_pd(attached, mh, attached, prod);
+    }
+  }
+  const size_t k = view.num_clusters;
+  for (int a = 0; a < NA; ++a) {
+    const size_t base = static_cast<size_t>(8 * a);
+    const size_t live = k > base ? k - base : 0;
+    _mm512_mask_storeu_pd(
+        scores + base,
+        static_cast<__mmask8>(live >= 8 ? 0xffu : (1u << live) - 1u), acc[a]);
+  }
+  alignas(64) double lane[8];
+  _mm512_store_pd(lane, attached);
+  *home_attached = home == kNoHome ? 0.0 : lane[home % 8];
+  return entries;
+}
+
 }  // namespace
 
 uint64_t ScoreAvx512(const PostingsView& view, const DocRow& row,
                      uint32_t home, double* scores, double* home_attached) {
   const size_t k = view.num_clusters;
+  if (view.cluster_masks != nullptr) {
+    if (k <= 8) {
+      return ScoreExactRegister<1>(view, row, home, scores, home_attached);
+    }
+    if (k <= 16) {
+      return ScoreExactRegister<2>(view, row, home, scores, home_attached);
+    }
+    if (k <= 24) {
+      return ScoreExactRegister<3>(view, row, home, scores, home_attached);
+    }
+    if (k <= 32) {
+      return ScoreExactRegister<4>(view, row, home, scores, home_attached);
+    }
+  }
   for (size_t p = 0; p < k; ++p) scores[p] = 0.0;
   double attached = 0.0;
   uint64_t entries = 0;

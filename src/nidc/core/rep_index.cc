@@ -47,7 +47,8 @@ void FlatRepIndex::ResizeEntries(size_t n) {
   clusters_.assign(n + kernels::kPostingPadding, 0);
   refs_.assign(n, 0);
   weights_.assign(n + kernels::kPostingPadding, 0.0);
-  qweights_.assign(n + kernels::kPostingPadding, 0);
+  unsnapped_.resize(n);  // filled by the build
+  if (quantized_) qweights_.assign(n + kernels::kPostingPadding, 0);
 }
 
 void FlatRepIndex::QuantizeAll() {
@@ -69,18 +70,30 @@ void FlatRepIndex::BuildFromPostings(
   }
   const size_t terms = counts_.size();
   offsets_.assign(terms + 1, 0);
-  for (size_t t = 0; t < terms; ++t) offsets_[t + 1] = offsets_[t] + counts_[t];
+  built_live_terms_ = 0;
+  for (size_t t = 0; t < terms; ++t) {
+    offsets_[t + 1] = offsets_[t] + counts_[t];
+    if (counts_[t] > 0) ++built_live_terms_;
+  }
   ResizeEntries(offsets_[terms]);
+  const bool masked = k_ <= kernels::kMaxMaskedClusters;
+  if (masked) {
+    cluster_masks_.assign(terms, 0);
+  } else {
+    cluster_masks_.clear();
+  }
   for (size_t t = 0; t < terms; ++t) counts_[t] = offsets_[t];
   for (size_t p = 0; p < k_; ++p) {
     for (const Cluster::TermPosting& posting : per_cluster[p]) {
       const size_t cursor = counts_[posting.term]++;
+      if (masked) cluster_masks_[posting.term] |= uint32_t{1} << p;
       clusters_[cursor] = static_cast<uint32_t>(p);
       refs_[cursor] = posting.refs;
       weights_[cursor] = posting.weight;
+      unsnapped_[cursor] = posting.weight;
     }
   }
-  QuantizeAll();
+  if (quantized_) QuantizeAll();
   stats_.live_entries = offsets_[terms];
 }
 
@@ -200,6 +213,7 @@ bool FlatRepIndex::ScoreAllQuantized(const SimilarityContext& ctx,
                                      double* home_attached,
                                      double* home_detached) const {
   NIDC_CHECK(built_) << "FlatRepIndex scored before a build";
+  NIDC_CHECK(quantized_) << "quantized scan of an index without fp16 weights";
   const SimilarityContext::Row row = ctx.RowAt(slot);
   scores_f32->resize(k_);  // the kernel zeroes every lane itself
   abs_f32->resize(k_);
@@ -258,39 +272,44 @@ FlatRepIndex::Entry* FlatRepIndex::FindDelta(uint32_t local_term, size_t p) {
   return nullptr;
 }
 
-void FlatRepIndex::ApplyRemove(const SimilarityContext& ctx,
-                               SimilarityContext::Slot slot, size_t p) {
-  if (!built_) return;
+double FlatRepIndex::ApplyRemove(const SimilarityContext& ctx,
+                                 SimilarityContext::Slot slot, size_t p) {
+  if (!built_) return 0.0;
   NIDC_CHECK(p < k_) << "cluster " << p << " out of range (K = " << k_ << ")";
   ++stats_.moves_applied;
   const SimilarityContext::Row row = ctx.RowAt(slot);
+  double cross = 0.0;
   for (size_t i = 0; i < row.size; ++i) {
-    if (row.values[i] == 0.0) continue;
+    const double v = row.values[i];
+    // A zero value adds ±0 to the cross term — a no-op, as in Dot.
+    if (v == 0.0) continue;
     const uint32_t t = row.terms[i];
     const size_t e = FindBase(t, p);
     if (e != kNoEntry) {
       NIDC_CHECK(refs_[e] > 0)
           << "removing term " << ctx.GlobalTerm(t) << " never added to "
           << "cluster " << p;
-      weights_[e] -= row.values[i];
+      cross += unsnapped_[e] * v;
+      unsnapped_[e] -= v;
+      weights_[e] -= v;
       if (--refs_[e] == 0) {
-        // Last contributor gone: snap the residual to exact zero (the
-        // posting-side analogue of Cluster::Clear) and tombstone.
+        // Last contributor gone: snap the scored residual to exact zero
+        // (the posting-side analogue of Cluster::Clear) and tombstone.
         weights_[e] = 0.0;
-        qweights_[e] = 0;
         --stats_.live_entries;
         ++stats_.dead_entries;
         ++stats_.tombstones_created;
-      } else {
-        qweights_[e] = kernels::HalfFromDouble(weights_[e]);
       }
+      if (quantized_) qweights_[e] = kernels::HalfFromDouble(weights_[e]);
       continue;
     }
     Entry* entry = FindDelta(t, p);
     NIDC_CHECK(entry != nullptr && entry->refs > 0)
         << "removing term " << ctx.GlobalTerm(t) << " never added to "
         << "cluster " << p;
-    entry->weight -= row.values[i];
+    cross += entry->unsnapped * v;
+    entry->unsnapped -= v;
+    entry->weight -= v;
     if (--entry->refs == 0) {
       entry->weight = 0.0;
       --stats_.live_entries;
@@ -298,16 +317,19 @@ void FlatRepIndex::ApplyRemove(const SimilarityContext& ctx,
       ++stats_.tombstones_created;
     }
   }
+  return cross;
 }
 
-void FlatRepIndex::ApplyAdd(const SimilarityContext& ctx,
-                            SimilarityContext::Slot slot, size_t p) {
-  if (!built_) return;
+double FlatRepIndex::ApplyAdd(const SimilarityContext& ctx,
+                              SimilarityContext::Slot slot, size_t p) {
+  if (!built_) return 0.0;
   NIDC_CHECK(p < k_) << "cluster " << p << " out of range (K = " << k_ << ")";
   ++stats_.moves_applied;
   const SimilarityContext::Row row = ctx.RowAt(slot);
+  double cross = 0.0;
   for (size_t i = 0; i < row.size; ++i) {
-    if (row.values[i] == 0.0) continue;
+    const double v = row.values[i];
+    if (v == 0.0) continue;
     const uint32_t t = row.terms[i];
     const size_t e = FindBase(t, p);
     if (e != kNoEntry) {
@@ -317,17 +339,20 @@ void FlatRepIndex::ApplyAdd(const SimilarityContext& ctx,
         ++stats_.tombstones_revived;
       }
       ++refs_[e];
-      weights_[e] += row.values[i];
-      qweights_[e] = kernels::HalfFromDouble(weights_[e]);
+      cross += unsnapped_[e] * v;
+      unsnapped_[e] += v;
+      weights_[e] += v;
+      if (quantized_) qweights_[e] = kernels::HalfFromDouble(weights_[e]);
       continue;
     }
     Entry* entry = FindDelta(t, p);
     if (entry == nullptr) {
       // First (term, cluster) pairing since the last rebuild — the base
       // CSR cannot grow in place, so the pair lives in the overlay until
-      // the next RefreshAll folds it into the base.
+      // the next RefreshAll folds it into the base. The representative
+      // has no such coefficient either: no cross-term contribution.
       has_delta_[t] = 1;
-      delta_[t].push_back({static_cast<uint32_t>(p), 1, row.values[i]});
+      delta_[t].push_back({static_cast<uint32_t>(p), 1, v, v});
       ++stats_.delta_entries_added;
       ++stats_.live_entries;
       continue;
@@ -338,12 +363,31 @@ void FlatRepIndex::ApplyAdd(const SimilarityContext& ctx,
       ++stats_.tombstones_revived;
     }
     ++entry->refs;
-    entry->weight += row.values[i];
+    cross += entry->unsnapped * v;
+    entry->unsnapped += v;
+    entry->weight += v;
+  }
+  return cross;
+}
+
+void FlatRepIndex::ResetEmptyCluster(size_t p) {
+  if (!built_) return;
+  const uint32_t cluster = static_cast<uint32_t>(p);
+  for (size_t e = 0; e < refs_.size(); ++e) {
+    if (clusters_[e] == cluster) unsnapped_[e] = 0.0;
+  }
+  for (auto& [term, overlay] : delta_) {
+    for (Entry& entry : overlay) {
+      if (entry.cluster == cluster) entry.unsnapped = 0.0;
+    }
   }
 }
 
 size_t FlatRepIndex::NumLiveTerms() const {
   if (!built_) return 0;
+  // Every entry of a fresh build is live, and stays so until a move leaves
+  // a tombstone or an overlay entry behind.
+  if (delta_.empty() && stats_.dead_entries == 0) return built_live_terms_;
   size_t live = 0;
   for (size_t t = 0; t + 1 < offsets_.size(); ++t) {
     const bool base = std::any_of(refs_.begin() + offsets_[t],

@@ -45,17 +45,23 @@ namespace nidc {
 /// Weight maintenance replays the same per-term additions, in the same
 /// order, as Cluster::Refresh / Cluster::Add / Cluster::Remove apply to the
 /// representatives — so scores match the merge path bit-for-bit (except
-/// the float residuals a zero-snapped tombstone clears).
+/// the float residuals a zero-snapped tombstone clears). Beside each scored
+/// weight the index keeps an *unsnapped* copy that never zero-snaps: it is
+/// the representative's coefficient exactly, so a move's cross term c⃗·ψ
+/// (Eq. 26) is Σ unsnapped·ψ_t over the document's row — ApplyRemove and
+/// ApplyAdd return it, and a slotted ClusterSet updates cr_self from it
+/// without touching the representative vector.
 ///
-/// The base postings live in padded SoA arrays (clusters / refs / weights
-/// plus an fp16 shadow of the weights) and are scanned through the
-/// runtime-dispatched SIMD kernels of core/kernels — every kernel is
-/// bit-identical to the scalar reference on the exact path, and the fp16
-/// quantized pass (ScoreAllQuantized) feeds the sweep's certified-margin
-/// re-check. On the exact path, documents touching mid-sweep overlay terms
-/// fall back to the legacy scalar loops (the per-term base/overlay
-/// interleaving is the semantic definition); the quantized pass folds the
-/// overlay in after the kernel scan instead, which its margin absorbs.
+/// The base postings live in padded SoA arrays (clusters / refs / weights,
+/// plus an fp16 shadow of the weights when the index serves the quantized
+/// pass) and are scanned through the runtime-dispatched SIMD kernels of
+/// core/kernels — every kernel is bit-identical to the scalar reference on
+/// the exact path, and the fp16 quantized pass (ScoreAllQuantized) feeds
+/// the sweep's certified-margin re-check. On the exact path, documents
+/// touching mid-sweep overlay terms fall back to the legacy scalar loops
+/// (the per-term base/overlay interleaving is the semantic definition); the
+/// quantized pass folds the overlay in after the kernel scan instead, which
+/// its margin absorbs.
 class FlatRepIndex {
  public:
   /// Cumulative counters survive rebuilds (RefreshAll rebuilds once per
@@ -95,6 +101,11 @@ class FlatRepIndex {
     }
   };
   const ScanStats& scan_stats() const { return scan_stats_; }
+
+  /// `quantized`: keep the fp16 shadow weights ScoreAllQuantized scans.
+  /// Nothing reads them on the exact path, so an exact-only index skips
+  /// building and maintaining them.
+  explicit FlatRepIndex(bool quantized = false) : quantized_(quantized) {}
 
   size_t num_clusters() const { return k_; }
   bool built() const { return built_; }
@@ -141,7 +152,7 @@ class FlatRepIndex {
   /// order. Returns false — outputs then meaningless — only when an
   /// overlay entry belongs to the home cluster, whose exact side-channel
   /// must replay the legacy interleaved order; the caller then takes the
-  /// exact path.
+  /// exact path. Requires an index built with `quantized`.
   bool ScoreAllQuantized(const SimilarityContext& ctx,
                          SimilarityContext::Slot slot, int home,
                          std::vector<float>* scores_f32,
@@ -150,20 +161,32 @@ class FlatRepIndex {
 
   /// Applies the posting side of an actual document move: weight -= ψ_t on
   /// every term (zero-snap tombstone when the last contributor leaves).
-  /// No-ops before the first build — seeding assigns are followed by a
-  /// rebuild, so maintaining postings for them would be wasted work.
-  void ApplyRemove(const SimilarityContext& ctx,
-                   SimilarityContext::Slot slot, size_t p);
+  /// Returns the cross term c⃗_p·ψ *before* the removal — Σ unsnapped·ψ_t
+  /// in row order, bit-identical to the representative's
+  /// SparseVector::Dot(ψ), which sums the same products in the same
+  /// (TermId) order. No-ops, returning 0, before the first build —
+  /// seeding assigns are followed by a rebuild, so maintaining postings for
+  /// them would be wasted work.
+  double ApplyRemove(const SimilarityContext& ctx,
+                     SimilarityContext::Slot slot, size_t p);
 
   /// The add side of a move: weight += ψ_t, reviving tombstones or
   /// appending overlay entries for first-seen (term, cluster) pairs.
-  /// No-ops before the first build (see ApplyRemove).
-  void ApplyAdd(const SimilarityContext& ctx, SimilarityContext::Slot slot,
-                size_t p);
+  /// Returns c⃗_p·ψ before the add, like ApplyRemove. No-ops before the
+  /// first build (see ApplyRemove).
+  double ApplyAdd(const SimilarityContext& ctx, SimilarityContext::Slot slot,
+                  size_t p);
+
+  /// Zeroes cluster p's unsnapped weights once the cluster is empty — the
+  /// posting-side analogue of Cluster::Clear dropping the representative,
+  /// so a repopulating document sees c⃗_p·ψ = 0 exactly. O(entries); the
+  /// scored weights of an empty cluster are already zero-snapped.
+  void ResetEmptyCluster(size_t p);
 
   /// Number of terms with at least one live (refs > 0) base or overlay
-  /// posting: terms that only outlier documents carry have none. One pass
-  /// over the postings, for telemetry.
+  /// posting: terms that only outlier documents carry have none. For
+  /// telemetry: O(1) while the postings are as built, else one pass over
+  /// them.
   size_t NumLiveTerms() const;
 
   /// Live (cluster, weight) postings of one *global* term, for tests; base
@@ -174,12 +197,13 @@ class FlatRepIndex {
  private:
   // One overlay entry: a cluster's accumulated weight for one term;
   // refs == 0 marks a tombstone with weight exactly 0.0, skipped only
-  // logically. (The base postings store the same triple in SoA arrays —
-  // see below.)
+  // logically, while `unsnapped` keeps the residual. (The base postings
+  // store the same fields in SoA arrays — see below.)
   struct Entry {
     uint32_t cluster = 0;
     uint32_t refs = 0;
     double weight = 0.0;
+    double unsnapped = 0.0;
   };
   static constexpr size_t kNoEntry = static_cast<size_t>(-1);
 
@@ -189,7 +213,8 @@ class FlatRepIndex {
   // Sizes the SoA arrays (zeroed, with kPostingPadding slots of tail
   // padding) for `n` base entries.
   void ResizeEntries(size_t n);
-  // Refreshes the fp16 shadow of every base entry (one pass, post-build).
+  // Refreshes the fp16 shadow of every base entry (one pass, post-build;
+  // quantized indexes only).
   void QuantizeAll();
   // True when the document's row touches a term with overlay entries —
   // those carry no fp16 shadow and are interleaved per term, so such docs
@@ -199,8 +224,13 @@ class FlatRepIndex {
                                  uint32_t home, std::vector<double>* scores,
                                  double* home_attached) const;
   kernels::PostingsView View() const {
-    return {offsets_.data(), clusters_.data(), weights_.data(),
-            qweights_.data(), offsets_.size() - 1, k_};
+    return {offsets_.data(),
+            clusters_.data(),
+            weights_.data(),
+            quantized_ ? qweights_.data() : nullptr,
+            cluster_masks_.empty() ? nullptr : cluster_masks_.data(),
+            offsets_.size() - 1,
+            k_};
   }
   static kernels::DocRow DocRowOf(const SimilarityContext::Row& row) {
     return {row.terms, row.values, row.size};
@@ -210,11 +240,18 @@ class FlatRepIndex {
   // Base CSR postings as parallel SoA arrays — the layout the SIMD kernels
   // scan. clusters_/weights_/qweights_ carry kernels::kPostingPadding
   // zeroed tail slots so full-width vector loads on a posting tail stay
-  // in-bounds; refs_ is maintenance-only and unpadded.
+  // in-bounds; refs_ and unsnapped_ are maintenance-only and unpadded.
   std::vector<uint32_t> clusters_;
   std::vector<uint32_t> refs_;
   std::vector<double> weights_;
-  std::vector<uint16_t> qweights_;  // fp16 shadow of weights_
+  std::vector<double> unsnapped_;   // weights_ without the zero-snap
+  std::vector<uint16_t> qweights_;  // fp16 shadow of weights_ (quantized_)
+  // Per local term, the clusters of its base entries as a bitmask (only
+  // for K <= kernels::kMaxMaskedClusters). Base entries are never added or
+  // dropped between builds — tombstones stay in place — so it holds until
+  // the next rebuild.
+  std::vector<uint32_t> cluster_masks_;
+  size_t built_live_terms_ = 0;  // terms with base entries at the build
   // Overlay for (term, cluster) pairs introduced by mid-sweep moves;
   // has_delta_ lets the scan skip the hash probe for untouched terms.
   std::vector<uint8_t> has_delta_;
@@ -224,6 +261,7 @@ class FlatRepIndex {
   std::vector<size_t> counts_;
   size_t k_ = 0;
   bool built_ = false;
+  bool quantized_ = false;
   Stats stats_;
   mutable ScanStats scan_stats_;
 };

@@ -12,7 +12,9 @@ bool CpuSupportsAvx2() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
 }
 
-bool CpuSupportsAvx512() { return __builtin_cpu_supports("avx512f"); }
+bool CpuSupportsAvx512() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("popcnt");
+}
 
 #else
 

@@ -14,7 +14,9 @@ bool CpuSupportsAvx2();
 
 /// True when the running CPU supports the AVX-512 foundation set
 /// (AVX512F), which covers every 512-bit instruction the kernels emit:
-/// masked arithmetic, expand, gather/scatter and vcvtph2ps on zmm.
+/// masked arithmetic, expand, gather/scatter and vcvtph2ps on zmm — plus
+/// POPCNT, which the register-resident exact kernel uses to step through
+/// a term's postings.
 bool CpuSupportsAvx512();
 
 }  // namespace nidc

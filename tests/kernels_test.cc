@@ -1,8 +1,9 @@
 // Unit tests for the vectorized scoring kernels: dispatch-table plumbing
 // (ParseKind / Available / Select), fp16 shadow conversions, bit-identity
 // of every compiled-in exact kernel against the scalar reference on
-// odd / aligned / tail posting lengths on both sides of the AVX-512
-// register-resident threshold, and the quantization error bound the sweep's
+// odd / aligned / tail posting lengths at every register count of the
+// AVX-512 register-resident paths and past them, and the quantization
+// error bound the sweep's
 // certification relies on — including denormal weights, fp16 overflow, and
 // the exact fp64 home side-channel.
 
@@ -31,24 +32,39 @@ constexpr Kind kAllKinds[] = {Kind::kScalar, Kind::kAvx2, Kind::kAvx512};
 // A self-owned padded SoA posting index plus one document row, with the
 // same layout invariants FlatRepIndex maintains: per-term entries sorted by
 // ascending distinct cluster id, arrays padded with kPostingPadding zeroed
-// slots, fp16 shadow built with HalfFromDouble.
+// slots, fp16 shadow built with HalfFromDouble, per-term cluster masks for
+// K <= 32.
 struct TestIndex {
   std::vector<size_t> offsets;
   std::vector<uint32_t> clusters;
   std::vector<double> weights;
   std::vector<uint16_t> qweights;
+  std::vector<uint32_t> masks;
   std::vector<uint32_t> row_terms;
   std::vector<double> row_values;
   size_t k = 0;
 
   PostingsView View() const {
-    return {offsets.data(), clusters.data(),  weights.data(),
-            qweights.data(), offsets.size() - 1, k};
+    return {offsets.data(),
+            clusters.data(),
+            weights.data(),
+            qweights.data(),
+            masks.empty() ? nullptr : masks.data(),
+            offsets.size() - 1,
+            k};
   }
   DocRow Row() const { return {row_terms.data(), row_values.data(),
                                row_terms.size()}; }
   void Finish() {
     const size_t n = clusters.size();
+    if (k <= kMaxMaskedClusters) {
+      masks.assign(offsets.size() - 1, 0);
+      for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+        for (size_t e = offsets[t]; e < offsets[t + 1]; ++e) {
+          masks[t] |= uint32_t{1} << clusters[e];
+        }
+      }
+    }
     clusters.resize(n + kPostingPadding, 0);
     weights.resize(n + kPostingPadding, 0.0);
     qweights.assign(weights.size(), 0);
@@ -56,11 +72,13 @@ struct TestIndex {
   }
 };
 
-// Posting lengths cycle 0..K (zero-length terms included), so every vector
-// width sees full blocks, odd remainders, and empty tails. The row touches
-// every term.
+// Posting lengths cycle 0..K (zero-length terms included, and full-K
+// lists on every (K+1)-th term), so every vector width sees full blocks,
+// odd remainders, and empty tails. With `tombstones`, every seventh entry
+// has weight exactly 0.0 — the zero-snapped posting a move leaves behind.
+// The row touches every term.
 TestIndex MakeIndex(size_t k, size_t terms, uint64_t seed,
-                    double weight_scale = 0.1) {
+                    double weight_scale = 0.1, bool tombstones = false) {
   TestIndex idx;
   idx.k = k;
   Rng rng(seed);
@@ -73,8 +91,10 @@ TestIndex MakeIndex(size_t k, size_t terms, uint64_t seed,
     }
     std::sort(ids.begin(), ids.end());
     for (uint32_t c : ids) {
+      const double w = (rng.NextDouble() - 0.25) * weight_scale;
+      idx.weights.push_back(
+          tombstones && idx.clusters.size() % 7 == 0 ? 0.0 : w);
       idx.clusters.push_back(c);
-      idx.weights.push_back((rng.NextDouble() - 0.25) * weight_scale);
     }
     idx.offsets.push_back(idx.clusters.size());
     idx.row_terms.push_back(static_cast<uint32_t>(t));
@@ -158,10 +178,17 @@ TEST(KernelsTest, HalfConversionDenormalAbsoluteError) {
 
 TEST(KernelsTest, ExactKernelsBitIdenticalToScalar) {
   KernelGuard guard;
-  // K values straddle every dispatch regime: tiny, the AVX-512
-  // register-resident limit (16), just past it, and a multi-vector spill.
-  for (size_t k : {3u, 16u, 17u, 33u}) {
-    TestIndex idx = MakeIndex(k, /*terms=*/97, /*seed=*/1000 + k);
+  // K values straddle every dispatch regime of the AVX-512 exact kernel:
+  // one accumulator register (3, 8), two (9, 16), three (17, 24), four
+  // (32), and the gather/scatter path past 32. Each list of length K puts
+  // a posting in the top lane, so home == K − 1 exercises the detached
+  // product there; tombstones add zero-weight entries. A view without
+  // cluster masks must fall back to gather/scatter at any K.
+  for (size_t k : {3u, 8u, 9u, 16u, 17u, 24u, 32u, 33u}) {
+    TestIndex idx = MakeIndex(k, /*terms=*/97, /*seed=*/1000 + k,
+                              /*weight_scale=*/0.1, /*tombstones=*/true);
+    PostingsView unmasked = idx.View();
+    unmasked.cluster_masks = nullptr;
     const PostingsView view = idx.View();
     const DocRow row = idx.Row();
     // Home absent (kNoHome) and every possible home cluster id.
@@ -178,14 +205,16 @@ TEST(KernelsTest, ExactKernelsBitIdenticalToScalar) {
         SCOPED_TRACE(std::string(KindName(kind)) + " k=" +
                      std::to_string(k) + " home=" + std::to_string(home));
         Select(kind);
-        std::vector<double> scores(k, 123.0);  // kernel must zero these
-        double attached = 123.0;
-        const uint64_t entries =
-            Active().score(view, row, home, scores.data(), &attached);
-        EXPECT_EQ(entries, ref_entries);
-        EXPECT_EQ(attached, ref_attached);
-        for (size_t p = 0; p < k; ++p) {
-          EXPECT_EQ(scores[p], ref_scores[p]) << "cluster " << p;
+        for (const PostingsView& v : {view, unmasked}) {
+          std::vector<double> scores(k, 123.0);  // kernel must zero these
+          double attached = 123.0;
+          const uint64_t entries =
+              Active().score(v, row, home, scores.data(), &attached);
+          EXPECT_EQ(entries, ref_entries);
+          EXPECT_EQ(attached, ref_attached);
+          for (size_t p = 0; p < k; ++p) {
+            EXPECT_EQ(scores[p], ref_scores[p]) << "cluster " << p;
+          }
         }
       }
     }

@@ -1,5 +1,6 @@
 #include "nidc/core/rep_index.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,11 +13,14 @@
 namespace nidc {
 namespace {
 
-// Randomized equivalence: a slotted ClusterSet is driven through random
-// assign/detach/refresh sequences; after the mutations the
-// document-at-a-time scores of its flat index must match the brute-force
-// `representative().Dot(psi)` path within 1e-12 (zero-snapped tombstones
-// clear float residuals the merge representatives keep).
+// Randomized equivalence: a slotted ClusterSet and a kMerge twin are driven
+// through the same assign/detach/refresh sequences. A slotted set takes a
+// move's cross terms from its index and leaves its representatives stale
+// until RefreshAll, so mid-sweep the twin's representatives are the
+// reference: the index's document-at-a-time scores must match the twin's
+// `representative().Dot(psi)` within 1e-12 (zero-snapped tombstones clear
+// float residuals the merge representatives keep), and cr_self / ss must
+// match bit for bit.
 class RepIndexEquivalenceTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -58,14 +62,31 @@ class RepIndexEquivalenceTest : public testing::Test {
     set->RefreshAll(*ctx_);
   }
 
-  void ExpectScoresMatch(const ClusterSet& set) {
+  // The same mutation applied to the slotted set and its merge twin.
+  void AssignBoth(ClusterSet* set, ClusterSet* twin, DocId id, int p) const {
+    set->Assign(id, p, *ctx_);
+    twin->Assign(id, p, *ctx_);
+  }
+  void RefreshBoth(ClusterSet* set, ClusterSet* twin) const {
+    set->RefreshAll(*ctx_);
+    twin->RefreshAll(*ctx_);
+  }
+
+  void ExpectMatchesMergeTwin(const ClusterSet& set, const ClusterSet& twin) {
+    ASSERT_EQ(set.num_clusters(), twin.num_clusters());
+    for (size_t p = 0; p < set.num_clusters(); ++p) {
+      EXPECT_EQ(set.cluster(p).members(), twin.cluster(p).members());
+      EXPECT_EQ(set.cluster(p).cr_self(), twin.cluster(p).cr_self())
+          << "cluster " << p;
+      EXPECT_EQ(set.cluster(p).ss(), twin.cluster(p).ss()) << "cluster " << p;
+    }
     std::vector<double> scores;
     for (DocId id : docs_) {
       const SparseVector& psi = ctx_->Psi(id);
       set.flat_index().ScoreAll(*ctx_, ctx_->SlotOf(id), &scores);
       ASSERT_EQ(scores.size(), set.num_clusters());
       for (size_t p = 0; p < set.num_clusters(); ++p) {
-        const double brute = set.cluster(p).representative().Dot(psi);
+        const double brute = twin.cluster(p).representative().Dot(psi);
         EXPECT_NEAR(scores[p], brute, 1e-12)
             << "doc " << id << " cluster " << p;
       }
@@ -81,45 +102,58 @@ class RepIndexEquivalenceTest : public testing::Test {
 TEST_F(RepIndexEquivalenceTest, RandomizedAssignDetachRefreshSequences) {
   const size_t k = 6;
   ClusterSet set(k, ClusterScoring::kSlotted);
+  ClusterSet twin(k, ClusterScoring::kMerge);
   AssignRoundRobinAndBuild(&set);
+  AssignRoundRobinAndBuild(&twin);
   Rng rng(99);
   for (int op = 0; op < 400; ++op) {
     const DocId id = docs_[rng.NextBounded(docs_.size())];
     // ~1/8 detach, ~1/16 full refresh, otherwise a random (re)assignment.
     const uint64_t roll = rng.NextBounded(16);
     if (roll == 0) {
-      set.RefreshAll(*ctx_);
+      RefreshBoth(&set, &twin);
     } else if (roll <= 2) {
-      set.Assign(id, kUnassigned, *ctx_);
+      AssignBoth(&set, &twin, id, kUnassigned);
     } else {
-      set.Assign(id, static_cast<int>(rng.NextBounded(k)), *ctx_);
+      AssignBoth(&set, &twin, id, static_cast<int>(rng.NextBounded(k)));
     }
-    if (op % 20 == 0) ExpectScoresMatch(set);
+    if (op % 20 == 0) ExpectMatchesMergeTwin(set, twin);
   }
-  ExpectScoresMatch(set);
-  // And once more from the canonical (refreshed) state.
-  set.RefreshAll(*ctx_);
-  ExpectScoresMatch(set);
+  ExpectMatchesMergeTwin(set, twin);
+  // And once more from the canonical (refreshed) state, where the slotted
+  // set's own representatives are current again.
+  RefreshBoth(&set, &twin);
+  ExpectMatchesMergeTwin(set, twin);
+  for (size_t p = 0; p < k; ++p) {
+    EXPECT_EQ(set.cluster(p).representative(),
+              twin.cluster(p).representative());
+  }
 }
 
 TEST_F(RepIndexEquivalenceTest, IndexedGainsMatchMergeGains) {
   const size_t k = 4;
   ClusterSet set(k, ClusterScoring::kSlotted);
+  ClusterSet twin(k, ClusterScoring::kMerge);
   AssignRoundRobinAndBuild(&set);
+  AssignRoundRobinAndBuild(&twin);
   Rng rng(7);
   std::vector<double> scores;
   for (DocId id : docs_) {
-    set.Assign(id, kUnassigned, *ctx_);
+    AssignBoth(&set, &twin, id, kUnassigned);
     set.flat_index().ScoreAll(*ctx_, ctx_->SlotOf(id), &scores);
     for (size_t p = 0; p < k; ++p) {
       const Cluster& c = set.cluster(p);
+      const Cluster& reference = twin.cluster(p);
+      ASSERT_EQ(c.size(), reference.size());
       if (c.empty()) continue;
-      EXPECT_NEAR(c.GainInGGivenT(scores[p]), c.GainInGIfAdded(id, *ctx_),
+      EXPECT_NEAR(c.GainInGGivenT(scores[p]),
+                  reference.GainInGIfAdded(id, *ctx_), 1e-12);
+      EXPECT_NEAR(c.GainGivenT(scores[p]), reference.GainIfAdded(id, *ctx_),
                   1e-12);
-      EXPECT_NEAR(c.GainGivenT(scores[p]), c.GainIfAdded(id, *ctx_), 1e-12);
     }
-    set.Assign(id, static_cast<int>(rng.NextBounded(k)), *ctx_);
+    AssignBoth(&set, &twin, id, static_cast<int>(rng.NextBounded(k)));
   }
+  ExpectMatchesMergeTwin(set, twin);
 }
 
 // ---------------------------------------------------------------------------
@@ -191,30 +225,24 @@ TEST_F(FlatRepIndexTest, ScoreAllDetachedMatchesPhysicalRemoval) {
 TEST_F(FlatRepIndexTest, MoveMaintenanceTracksRepresentatives) {
   const size_t k = 5;
   ClusterSet set(k, ClusterScoring::kSlotted);
+  ClusterSet twin(k, ClusterScoring::kMerge);
   AssignRoundRobinAndBuild(&set);
+  AssignRoundRobinAndBuild(&twin);
   Rng rng(1234);
-  std::vector<double> scores;
   for (int move = 0; move < 200; ++move) {
     const DocId id = docs_[rng.NextBounded(docs_.size())];
     const int target = rng.NextBounded(8) == 0
                            ? kUnassigned
                            : static_cast<int>(rng.NextBounded(k));
-    set.Assign(id, target, *ctx_);
-    if (move % 25 != 0) continue;
-    for (DocId probe : docs_) {
-      set.flat_index().ScoreAll(*ctx_, ctx_->SlotOf(probe), &scores);
-      const SparseVector& psi = ctx_->Psi(probe);
-      for (size_t p = 0; p < k; ++p) {
-        // 1e-12, not bit-exact: zero-snapped tombstones intentionally clear
-        // float residuals the merge representatives keep.
-        EXPECT_NEAR(scores[p], set.cluster(p).representative().Dot(psi),
-                    1e-12)
-            << "probe " << probe << " cluster " << p;
-      }
-    }
+    AssignBoth(&set, &twin, id, target);
+    // Scores within 1e-12, not bit-exact: zero-snapped tombstones
+    // intentionally clear float residuals the merge representatives keep.
+    if (move % 25 == 0) ExpectMatchesMergeTwin(set, twin);
   }
   EXPECT_GT(set.flat_index().stats().moves_applied, 0u);
+  ExpectMatchesMergeTwin(set, twin);
   // A rebuild clears overlay and tombstones and restores bit-identity.
+  std::vector<double> scores;
   set.RefreshAll(*ctx_);
   EXPECT_EQ(set.flat_index().stats().dead_entries, 0u);
   for (DocId probe : docs_) {
@@ -224,6 +252,87 @@ TEST_F(FlatRepIndexTest, MoveMaintenanceTracksRepresentatives) {
       EXPECT_EQ(scores[p], set.cluster(p).representative().Dot(psi));
     }
   }
+}
+
+// A term whose last contributor leaves keeps a float residual in the merge
+// representative while its posting snaps to zero. Reviving it must feed
+// the residual — not the snapped zero — into the cross term, or cr_self
+// drifts from the merge twin.
+TEST_F(FlatRepIndexTest, RevivedTombstoneKeepsTheRepresentativeResidual) {
+  ClusterSet set(2, ClusterScoring::kSlotted);
+  ClusterSet twin(2, ClusterScoring::kMerge);
+  // Every document in cluster 0 but the last, which seeds cluster 1.
+  for (size_t i = 0; i < docs_.size(); ++i) {
+    const int p = i + 1 == docs_.size() ? 1 : 0;
+    AssignBoth(&set, &twin, docs_[i], p);
+  }
+  RefreshBoth(&set, &twin);
+  // Drain cluster 0 to its first member, in reverse member order: the
+  // subtraction order differs from the refresh's accumulation order.
+  std::vector<DocId> leaving(set.cluster(0).members().begin() + 1,
+                             set.cluster(0).members().end());
+  std::reverse(leaving.begin(), leaving.end());
+  for (DocId id : leaving) AssignBoth(&set, &twin, id, 1);
+  ExpectMatchesMergeTwin(set, twin);
+  // A term of cluster 0 with no contributor left but a nonzero residual.
+  const SparseVector& stayer = ctx_->Psi(set.cluster(0).members()[0]);
+  TermId residual_term = 0;
+  bool found = false;
+  for (const SparseVector::Entry& e :
+       twin.cluster(0).representative().entries()) {
+    if (e.value != 0.0 && stayer.ValueAt(e.id) == 0.0) {
+      residual_term = e.id;
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found) << "the corpus left no residual: nothing to revive";
+  for (const auto& [cluster, weight] :
+       set.flat_index().PostingsOf(*ctx_, residual_term)) {
+    EXPECT_NE(cluster, 0u) << "the drained posting must be a tombstone";
+  }
+  // Revive it: move back a document that carries the term.
+  const auto carrier =
+      std::find_if(leaving.begin(), leaving.end(), [&](DocId id) {
+        return ctx_->Psi(id).ValueAt(residual_term) != 0.0;
+      });
+  ASSERT_NE(carrier, leaving.end());
+  AssignBoth(&set, &twin, *carrier, 0);
+  ExpectMatchesMergeTwin(set, twin);
+  EXPECT_GT(set.flat_index().stats().tombstones_revived, 0u);
+  // The revival's cross term used the residual: the next move out of
+  // cluster 0 still lands on the twin's cr_self bit for bit.
+  AssignBoth(&set, &twin, *carrier, 1);
+  ExpectMatchesMergeTwin(set, twin);
+}
+
+// Emptying a cluster drops its representative (Cluster::Clear), so the
+// index must forget the cluster's residuals too: the first document back
+// sees a cross term of exactly 0.
+TEST_F(FlatRepIndexTest, EmptiedClusterRepopulatesFromZero) {
+  const size_t k = 3;
+  ClusterSet set(k, ClusterScoring::kSlotted);
+  ClusterSet twin(k, ClusterScoring::kMerge);
+  AssignRoundRobinAndBuild(&set);
+  AssignRoundRobinAndBuild(&twin);
+  std::vector<DocId> members = set.cluster(2).members();
+  for (size_t i = 0; i < members.size(); ++i) {
+    AssignBoth(&set, &twin, members[i], static_cast<int>(i % 2));
+  }
+  ASSERT_TRUE(set.cluster(2).empty());
+  EXPECT_EQ(set.cluster(2).cr_self(), 0.0);
+  ExpectMatchesMergeTwin(set, twin);
+  // Repopulate with documents from the other clusters, one at a time.
+  for (size_t i = 0; i < 6; ++i) {
+    const DocId id = set.cluster(i % 2).members()[0];
+    AssignBoth(&set, &twin, id, 2);
+    if (i == 0) {
+      EXPECT_EQ(set.cluster(2).cr_self(), ctx_->SelfSim(id));
+    }
+    ExpectMatchesMergeTwin(set, twin);
+  }
+  RefreshBoth(&set, &twin);
+  ExpectMatchesMergeTwin(set, twin);
 }
 
 TEST_F(FlatRepIndexTest, ApplyIsANoOpBeforeTheFirstBuild) {
@@ -285,9 +394,14 @@ class FlatRepIndexLifecycleTest : public testing::Test {
 
 TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
   ClusterSet set(2, ClusterScoring::kSlotted);
-  set.Assign(0, 0, *ctx_);
-  set.Assign(1, 1, *ctx_);
-  set.RefreshAll(*ctx_);
+  // The merge twin takes the same moves; its representatives are the
+  // mid-sweep reference (the slotted set's are stale until RefreshAll).
+  ClusterSet twin(2, ClusterScoring::kMerge);
+  for (ClusterSet* s : {&set, &twin}) {
+    s->Assign(0, 0, *ctx_);
+    s->Assign(1, 1, *ctx_);
+    s->RefreshAll(*ctx_);
+  }
   const FlatRepIndex& index = set.flat_index();
   EXPECT_EQ(index.stats().live_entries, 4u);  // 2 terms per document
 
@@ -295,6 +409,7 @@ TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
   // tombstones, and (term, cluster 1) pairs exist nowhere in the base — the
   // overlay takes them.
   set.Assign(0, 1, *ctx_);
+  twin.Assign(0, 1, *ctx_);
   EXPECT_EQ(index.stats().tombstones_created, 2u);
   EXPECT_EQ(index.stats().delta_entries_added, 2u);
   EXPECT_EQ(index.stats().dead_entries, 2u);
@@ -309,10 +424,19 @@ TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
   std::vector<double> scores;
   index.ScoreAll(*ctx_, ctx_->SlotOf(0), &scores);
   EXPECT_EQ(scores[0], 0.0);  // exact zero: tombstones snap, no residual
-  EXPECT_EQ(scores[1], set.cluster(1).representative().Dot(psi0));
+  EXPECT_EQ(scores[1], twin.cluster(1).representative().Dot(psi0));
+  for (size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(set.cluster(p).cr_self(), twin.cluster(p).cr_self());
+    EXPECT_EQ(set.cluster(p).ss(), twin.cluster(p).ss());
+  }
 
   // Moving back revives the base tombstones and tombstones the overlay.
   set.Assign(0, 0, *ctx_);
+  twin.Assign(0, 0, *ctx_);
+  for (size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(set.cluster(p).cr_self(), twin.cluster(p).cr_self());
+    EXPECT_EQ(set.cluster(p).ss(), twin.cluster(p).ss());
+  }
   EXPECT_EQ(index.stats().tombstones_revived, 2u);
   EXPECT_EQ(index.stats().tombstones_created, 4u);
   for (const auto& [term, value] : psi0.entries()) {

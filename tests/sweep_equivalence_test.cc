@@ -9,6 +9,7 @@
 
 #include "nidc/core/extended_kmeans.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/corpus/corpus.h"
 #include "nidc/forgetting/forgetting_model.h"
+#include "nidc/obs/event_log.h"
+#include "nidc/obs/metrics.h"
 #include "nidc/util/random.h"
 #include "nidc/util/thread_pool.h"
 
@@ -218,8 +221,9 @@ TEST(SweepEquivalenceTest, RepresentativeSeedingStaysIdentical) {
 TEST(SweepEquivalenceTest, KernelAndQuantizationDimensionsStayIdentical) {
   // The kernel dimension of the ablation: for every compiled-in scoring
   // kernel (unavailable ones skipped) × quantized scoring on/off × K on
-  // both sides of the AVX-512 register-resident threshold (K ≤ 16 vs the
-  // gather/scatter spill path) × corpus seed, the slotted sweep must match
+  // both sides of the AVX-512 register-resident thresholds (K ≤ 16
+  // quantized, K ≤ 32 exact, vs the gather/scatter spill paths) × corpus
+  // seed, the slotted sweep must match
   // the merge reference bit-for-bit. The shared vocabulary makes posting
   // lengths span 1..K, so odd lengths and vector-tail remainders are
   // exercised on every scan.
@@ -229,7 +233,7 @@ TEST(SweepEquivalenceTest, KernelAndQuantizationDimensionsStayIdentical) {
                                  kernels::Kind::kAvx512};
   for (uint64_t corpus_seed : {41u, 43u}) {
     auto env = MakeEnv(corpus_seed, /*n_docs=*/70);
-    for (size_t k : {5u, 20u}) {
+    for (size_t k : {5u, 20u, 40u}) {
       ExtendedKMeansOptions options;
       options.k = k;
       options.seed = corpus_seed * 7 + k;
@@ -256,6 +260,50 @@ TEST(SweepEquivalenceTest, KernelAndQuantizationDimensionsStayIdentical) {
         }
       }
     }
+  }
+}
+
+TEST(SweepEquivalenceTest, PaperKMovesThroughOverlayAndEmptiedClusters) {
+  // K = 24, the paper-replay K: the AVX-512 exact kernel keeps its scores
+  // in three registers. The slotted sweep takes every move's cross terms
+  // from the posting index, so the run must cover the two cases where the
+  // index and the merge representatives part ways: moves that create
+  // (term, cluster) pairs the base CSR lacks (overlay entries), and moves
+  // that empty a cluster (its residuals reset, as Clear drops the
+  // representative). Both are asserted to happen, and the result must
+  // match the merge reference bit for bit under every kernel.
+  KernelGuard guard;
+  auto env = MakeEnv(53, /*n_docs=*/90);
+  ExtendedKMeansOptions options;
+  options.k = 24;
+  options.seed = 5;
+  kernels::Select(kernels::Kind::kScalar);
+  const ClusteringResult merge =
+      RunConfig(*env, options, /*use_rep_index=*/false, std::nullopt);
+  for (kernels::Kind kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2,
+                             kernels::Kind::kAvx512}) {
+    if (!kernels::Available(kind)) continue;
+    SCOPED_TRACE(kernels::KindName(kind));
+    kernels::Select(kind);
+    obs::MetricsRegistry registry;
+    obs::EventLog events(1 << 14);
+    ExtendedKMeansOptions opts = options;
+    opts.metrics = &registry;
+    opts.events = &events;
+    const ClusteringResult slotted =
+        RunConfig(*env, opts, /*use_rep_index=*/true, std::nullopt);
+    EXPECT_EQ(merge.clusters, slotted.clusters);
+    EXPECT_EQ(merge.outliers, slotted.outliers);
+    EXPECT_EQ(merge.g_history, slotted.g_history);
+    EXPECT_EQ(merge.iterations, slotted.iterations);
+    EXPECT_GT(registry.GetCounter("rep_index.delta_entries")->Value(), 0u);
+    const std::vector<obs::Event> emitted = events.Recent();
+    EXPECT_EQ(emitted.size(), events.total_emitted());
+    EXPECT_TRUE(std::any_of(emitted.begin(), emitted.end(),
+                            [](const obs::Event& e) {
+                              return e.type ==
+                                     obs::EventType::kClusterEmptied;
+                            }));
   }
 }
 
